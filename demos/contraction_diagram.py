@@ -36,7 +36,7 @@ for source, target, family in proper_edge_families():
     print(f"  {source.value} -> {target.value}: limit is "
           f"{classify(lim).value}")
 
-print("\nBounded template search (census %d candidates per pair):"
+print("\nBounded template search (census %d family shapes per pair):"
       % search_census(2))
 found = search_families(ClassLabel.B1, ClassLabel.B3, 2)
 print("  beta1 -> beta3:", "found " + repr(found) if found else "none")

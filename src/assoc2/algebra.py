@@ -194,9 +194,6 @@ class Subspace:
         rows = [list(v) for v in self.vectors]
         return linalg.rank(rows + [list(x)]) == len(self.vectors)
 
-    def same_span(self, other: "Subspace") -> bool:
-        return self.dim == other.dim and all(self.contains(v) for v in other.vectors)
-
     def __repr__(self):
         return f"Subspace({list(self.vectors)!r})"
 
@@ -265,17 +262,6 @@ class Algebra:
     @property
     def scalar_one(self):
         return self.scalar_zero + 1
-
-    @property
-    def scalar_kind(self) -> str:
-        sample = self.scalar_zero
-        return {
-            "Fraction": "rational",
-            "RationalFunction": "rational_function",
-            "GaussianRational": "gaussian",
-            "QuadExt": "quadratic_extension",
-            "EpsPolynomial": "eps_polynomial",
-        }.get(type(sample).__name__, type(sample).__name__)
 
     def map_scalars(self, fn) -> "Algebra":
         return Algebra(

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    HALF,
     Algebra,
     Element,
     LinearMap,
@@ -30,8 +31,6 @@ from .scalars import (
     rational_sqrt,
     squarefree_decompose,
 )
-
-HALF = Fraction(1, 2)
 
 
 class UnclassifiableFingerprint(RuntimeError):

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import linalg
-from .algebra import Algebra, DimensionMismatch, LinearMap
+from .algebra import HALF, Algebra, DimensionMismatch, LinearMap
 from .classify import ASSOCIATIVE_LABELS, ClassLabel, canonical_algebra, classify
 from .deformation import orbit_dim
 from .scalars import Polynomial, PoleAtZero, RationalFunction
-
-HALF = Fraction(1, 2)
 
 
 class IdenticallySingular(ValueError):
@@ -267,24 +266,32 @@ def _template_transforms() -> list:
 
 
 def search_census(template_bound: int) -> int:
-    """Number of candidate families the bounded search enumerates."""
+    """Number of family shapes g * diag(t^a, t^b) * h the bounded search covers.
+
+    Because the answer does not depend on h, only 10 * (template_bound + 1)**2
+    distinct candidates are tested.
+    """
     return len(_template_transforms()) ** 2 * (template_bound + 1) ** 2
 
 
-def _monomial_rf(c: Fraction, e: int) -> RationalFunction:
-    if e >= 0:
-        return RationalFunction(Polynomial([0] * e + [c]))
-    return RationalFunction(Polynomial((c,)), Polynomial([0] * (-e) + [1]))
+def _diagonal_limit(alg: Algebra, a: int, b: int) -> Algebra | None:
+    """t -> 0 limit of a rational 2-dim law transported through
+    diag(t^a, t^b), or None when it has a pole.
 
-
-def _diag_transport(alg: Algebra, a: int, b: int) -> Algebra:
-    """Transport through diag(t^a, t^b): entry (i,j,k) picks up
-    t^(e_i + e_j - e_k)."""
+    Entry (i,j,k) picks up t^(e_i + e_j - e_k) with (e_1, e_2) = (a, b):
+    the limit exists iff no nonzero entry gets a negative exponent, and it
+    keeps the exponent-0 entries.
+    """
     exps = (a, b)
-    return Algebra(2, [
-        [[_monomial_rf(alg.constants[i][j][k], exps[i] + exps[j] - exps[k])
-          for k in range(2)] for j in range(2)] for i in range(2)
-    ])
+    tensor = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+    for i, j, k in product(range(2), repeat=3):
+        c = alg.constants[i][j][k]
+        e = exps[i] + exps[j] - exps[k]
+        if c and e < 0:
+            return None
+        if e == 0:
+            tensor[i][j][k] = c
+    return Algebra(2, tensor)
 
 
 def search_families(source: ClassLabel, target: ClassLabel,
@@ -293,8 +300,12 @@ def search_families(source: ClassLabel, target: ClassLabel,
 
     g and h range over identity, the swap, and the eight unitriangular
     matrices with entry +-1 or +-1/2; exponents satisfy
-    0 <= a, b <= template_bound. Candidates are tried in lexicographic
-    (a, b, g, h) order, so the result is deterministic. None is a bounded
+    0 <= a, b <= template_bound. Transport by g D h is transport by g D
+    followed by the constant basis change h, so the limit exists for both or
+    neither and has the same class: the first hit in lexicographic
+    (a, b, g, h) order has h = identity, and only g D is tested, in (a, b, g)
+    order. Limits are read off t-exponents over the rationals; a hit is
+    returned only once verify_edge confirms it over Q(t). None is a bounded
     report, not a non-existence proof.
     """
     if template_bound > 4:
@@ -309,29 +320,20 @@ def search_families(source: ClassLabel, target: ClassLabel,
     transforms = _template_transforms()
     beta = canonical_algebra(source)
     target_commutative = canonical_algebra(target).is_commutative()
-    # transport factors through the candidate shape: conjugate by g over the
-    # rationals once, scale by the diagonal in closed form, conjugate by h
     pre = [beta.change_basis(LinearMap(g)) for g in transforms]
-    h_maps = [LinearMap(h) for h in transforms]
     t = RationalFunction.t()
     for a in range(template_bound + 1):
         for b in range(template_bound + 1):
-            for gi, g in enumerate(transforms):
-                scaled = _diag_transport(pre[gi], a, b)
-                for hi, h in enumerate(transforms):
-                    moved = scaled.change_basis(h_maps[hi])
-                    try:
-                        limit = moved.map_scalars(
-                            lambda r: r.limit_at_zero())
-                    except PoleAtZero:
-                        continue
-                    if limit.is_commutative() != target_commutative:
-                        continue
-                    if classify(limit) != target:
-                        continue
-                    fam = ContractionFamily(g).compose(
-                        ContractionFamily.diagonal(t**a, t**b)).compose(
-                        ContractionFamily(h))
-                    if verify_edge(source, target, fam).verified:
-                        return fam
+            for g, moved in zip(transforms, pre):
+                limit = _diagonal_limit(moved, a, b)
+                if limit is None:
+                    continue
+                if limit.is_commutative() != target_commutative:
+                    continue
+                if classify(limit) != target:
+                    continue
+                fam = ContractionFamily(g).compose(
+                    ContractionFamily.diagonal(t**a, t**b))
+                if verify_edge(source, target, fam).verified:
+                    return fam
     return None

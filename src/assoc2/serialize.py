@@ -30,6 +30,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            # Fraction("1e<N>") builds 10**N exactly: a memory bomb
+            raise ParseError(f"bad rational {value!r}: exponent notation is "
+                             "not accepted; write 'p/q' or 'p'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -39,10 +43,6 @@ def parse_rational(value) -> Fraction:
             f"refusing inexact float {value!r}; write it as a 'p/q' string"
         )
     raise ParseError(f"not a rational value: {value!r}")
-
-
-def rational_to_text(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_rational_function(obj) -> RationalFunction:
@@ -134,13 +134,6 @@ def parse_perturbation(obj) -> Perturbation:
         return Perturbation(base, directions)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def perturbation_to_json(pert: Perturbation) -> dict:
-    return {
-        "base": algebra_to_json(pert.base),
-        "directions": [algebra_to_json(d) for d in pert.directions],
-    }
 
 
 def witness_to_json(witness: LinearMap) -> dict:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,15 @@ class TestClassifyCommand:
         path.write_text('{"matrix": [[0.5, 0], [0, 0], [0, 0], [0, 0]]}')
         code, _, err = run(capsys, "classify", str(path))
         assert code == 1 and "float" in err
+
+    @pytest.mark.parametrize("text", ["1e5", "1E-3"])
+    def test_exponent_notation_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(
+            {"matrix": [[text, "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        assert "exponent" in err
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classify", "--builtin", "beta6", "--json")
@@ -201,6 +211,18 @@ class TestGraphCommand:
         payload = json.loads(out)
         assert ["beta2", "beta4"] in payload["edges"]
         assert len(payload["edges"]) == 14
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text", ["1e5", "1E-3"])
+    def test_exponent_notation_rejected(self, text):
+        with pytest.raises(serialize.ParseError, match="exponent"):
+            serialize.parse_rational(text)
+
+    def test_documented_forms(self):
+        assert serialize.parse_rational("-3/4") == Fraction(-3, 4)
+        assert serialize.parse_rational("7") == Fraction(7)
+        assert serialize.parse_rational(5) == Fraction(5)
 
 
 class TestRoundTrip:

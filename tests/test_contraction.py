@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
     ClassLabel,
     ContractionFamily,
     IdenticallySingular,
+    LinearMap,
     PoleAtZero,
     Polynomial,
     RationalFunction,
@@ -23,6 +25,8 @@ from assoc2 import (
     transport,
     verify_edge,
 )
+from assoc2.contraction import _diagonal_limit, _template_transforms
+from assoc2.serialize import family_to_json
 
 T = RationalFunction.t()
 ONE = RationalFunction.const(1)
@@ -32,6 +36,41 @@ PROPER_EDGES = {
     (ClassLabel.B2, ClassLabel.B4), (ClassLabel.B1, ClassLabel.B5),
     (ClassLabel.B2, ClassLabel.B5), (ClassLabel.B3, ClassLabel.B5),
     (ClassLabel.B4, ClassLabel.B5),
+}
+
+B = ClassLabel
+DIAGRAM_EDGES = PROPER_EDGES | {
+    (label, B.ABELIAN) for label in ASSOCIATIVE_LABELS
+    if label is not B.ABELIAN
+}
+# the four edges into beta5 need t^2 and first appear at bound 2
+BOUND1_EDGES = {edge for edge in DIAGRAM_EDGES if edge[1] is not B.B5}
+
+
+def _t_power_json(k):
+    """family_to_json form of the entry t**k, or of 0 for k = None."""
+    return {"num": [] if k is None else ["0"] * k + ["1"], "den": ["1"]}
+
+
+Z, P0, P1, P2 = (_t_power_json(k) for k in (None, 0, 1, 2))
+
+# the families found at bound 2 by the search as it stood before the h loop
+# was dropped and limits were read off exponents
+GOLDEN_BOUND2 = {
+    (B.B1, B.ABELIAN): [[P1, Z], [Z, P1]],
+    (B.B1, B.B3): [[P0, Z], [Z, P1]],
+    (B.B1, B.B5): [[Z, P2], [P1, Z]],
+    (B.B2, B.ABELIAN): [[P1, Z], [Z, P1]],
+    (B.B2, B.B3): [[P0, Z], [Z, P1]],
+    (B.B2, B.B4): [[P0, Z], [P0, P1]],
+    (B.B2, B.B5): [[Z, P2], [P1, Z]],
+    (B.B3, B.ABELIAN): [[Z, P1], [P0, Z]],
+    (B.B3, B.B5): [[P1, Z], [P1, P2]],
+    (B.B4, B.ABELIAN): [[P0, Z], [Z, P1]],
+    (B.B4, B.B5): [[P1, Z], [P1, P2]],
+    (B.B5, B.ABELIAN): [[Z, P1], [P0, Z]],
+    (B.B6, B.ABELIAN): [[Z, P1], [P0, Z]],
+    (B.B7, B.ABELIAN): [[Z, P1], [P0, Z]],
 }
 
 
@@ -230,3 +269,57 @@ class TestSearch:
                     continue
                 assert search_families(source, target, 2) is None, \
                     (source, target)
+
+    @pytest.mark.parametrize("bound,expected", [
+        (0, set()),
+        (1, BOUND1_EDGES),
+        (2, DIAGRAM_EDGES),
+        (3, DIAGRAM_EDGES),
+        (4, DIAGRAM_EDGES),
+    ])
+    def test_census_golden(self, bound, expected):
+        found = {}
+        for source in ASSOCIATIVE_LABELS:
+            for target in ASSOCIATIVE_LABELS:
+                if source is target:
+                    continue
+                fam = search_families(source, target, bound)
+                if fam is not None:
+                    found[(source, target)] = fam
+        assert set(found) == expected
+        for (source, target), fam in found.items():
+            assert verify_edge(source, target, fam).verified
+        if bound == 2:
+            assert {pair: family_to_json(fam)["matrix"]
+                    for pair, fam in found.items()} == GOLDEN_BOUND2
+
+
+TRANSFORMS = _template_transforms()
+
+
+class TestSearchReduction:
+    """The facts the search rests on, checked through the Q(t) contract."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(source=st.sampled_from(ASSOCIATIVE_LABELS),
+           a=st.integers(0, 4), b=st.integers(0, 4),
+           g=st.sampled_from(TRANSFORMS), h=st.sampled_from(TRANSFORMS))
+    def test_right_factor_h_does_not_change_the_answer(self, source, a, b,
+                                                        g, h):
+        beta = canonical_algebra(source)
+        gd = ContractionFamily(g).compose(
+            ContractionFamily.diagonal(T**a, T**b))
+        gdh = gd.compose(ContractionFamily(h))
+        try:
+            limit = contract(beta, gd)
+        except PoleAtZero:
+            limit = None
+        try:
+            limit_h = contract(beta, gdh)
+        except PoleAtZero:
+            limit_h = None
+        assert (limit is None) == (limit_h is None)
+        if limit is not None:
+            assert classify(limit) == classify(limit_h)
+        read = _diagonal_limit(beta.change_basis(LinearMap(g)), a, b)
+        assert read == limit
