@@ -311,6 +311,25 @@ class Algebra:
             raise DimensionMismatch("element length does not match the algebra")
         return Element(self._mul(list(x), list(y)))
 
+    def _combine(self, weights, vectors) -> list:
+        """Coordinates of sum_m weights[m] vectors[m]."""
+        out = [self.scalar_zero] * self.dim
+        for w, vec in zip(weights, vectors):
+            if not w:
+                continue
+            for l, x in enumerate(vec):
+                if x:
+                    out[l] = out[l] + w * x
+        return out
+
+    def _times_basis(self, x, k: int) -> list:
+        """Coordinates of x * e_k = sum_m x[m] c[m][k] (k 0-based)."""
+        return self._combine(x, [row[k] for row in self.constants])
+
+    def _basis_times(self, i: int, y) -> list:
+        """Coordinates of e_i * y = sum_m y[m] c[i][m] (i 0-based)."""
+        return self._combine(y, self.constants[i])
+
     def associativity_residuals(self) -> list:
         """Coordinates of (e_i e_j) e_k - e_i (e_j e_k), lexicographic in
         (i, j, k, l)."""
@@ -321,12 +340,9 @@ class Algebra:
             for j in range(n):
                 left = c[i][j]
                 for k in range(n):
-                    lhs = self._mul(left, [self.scalar_one if m == k else
-                                           self.scalar_zero for m in range(n)])
-                    rhs = self._mul([self.scalar_one if m == i else
-                                     self.scalar_zero for m in range(n)], c[j][k])
-                    for l in range(n):
-                        out.append(lhs[l] - rhs[l])
+                    lhs = self._times_basis(left, k)
+                    rhs = self._basis_times(i, c[j][k])
+                    out.extend(a - b for a, b in zip(lhs, rhs))
         return out
 
     def is_associative(self) -> bool:
@@ -376,14 +392,17 @@ class Algebra:
         n = self.dim
         c = self.constants
 
+        terms = {}
+
         def G(a, b, w, y):
-            p = c[a][b]
-            first = self._mul(p, c[w][y])
-            inner = self._mul(p, [self.scalar_one if m == y else self.scalar_zero
-                                  for m in range(n)])
-            second = self._mul([self.scalar_one if m == w else self.scalar_zero
-                                for m in range(n)], inner)
-            return [f - s for f, s in zip(first, second)]
+            # c[a][b] = c[b][a], so the term depends on {a, b} only
+            key = (min(a, b), max(a, b), w, y)
+            if key not in terms:
+                p = c[a][b]
+                first = self._mul(p, c[w][y])
+                second = self._basis_times(w, self._times_basis(p, y))
+                terms[key] = [f - s for f, s in zip(first, second)]
+            return terms[key]
 
         for u, v, w in combinations_with_replacement(range(n), 3):
             for y in range(n):
@@ -404,12 +423,9 @@ class Algebra:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s1 = self._mul(c[i][j], [self.scalar_one if m == k else
-                                             self.scalar_zero for m in range(n)])
-                    s2 = self._mul(c[j][k], [self.scalar_one if m == i else
-                                             self.scalar_zero for m in range(n)])
-                    s3 = self._mul(c[k][i], [self.scalar_one if m == j else
-                                             self.scalar_zero for m in range(n)])
+                    s1 = self._times_basis(c[i][j], k)
+                    s2 = self._times_basis(c[j][k], i)
+                    s3 = self._times_basis(c[k][i], j)
                     if any(a + b + cc for a, b, cc in zip(s1, s2, s3)):
                         return False
         return True
@@ -493,12 +509,10 @@ class Algebra:
 
     def _power_step(self, basis_rows):
         products = []
-        n = self.dim
-        unit_rows = linalg.identity_matrix(n, self.scalar_zero, self.scalar_one)
         for u in basis_rows:
-            for e in unit_rows:
-                products.append(self._mul(u, e))
-                products.append(self._mul(e, u))
+            for k in range(self.dim):
+                products.append(self._times_basis(u, k))
+                products.append(self._basis_times(k, u))
         pivots_rows = [row for row in products if any(row)]
         if not pivots_rows:
             return []

@@ -151,8 +151,12 @@ def fingerprint(alg: Algebra) -> Fingerprint:
 
 
 def classify(alg: Algebra) -> ClassLabel:
+    """Isomorphism class of a 2-dimensional associative law."""
+    return classify_fingerprint(fingerprint(alg))
+
+
+def classify_fingerprint(fp: Fingerprint) -> ClassLabel:
     """Decision table over the fingerprint; total on associative input."""
-    fp = fingerprint(alg)
     if fp.derived_dim == 0:
         return ClassLabel.ABELIAN
     if not fp.commutative:
@@ -334,7 +338,12 @@ def isomorphism_witness(alg: Algebra) -> tuple:
     QuadExt entries tagged with the squarefree radicand.
     """
     label = classify(alg)
+    return label, witness_for(alg, label)
 
+
+def witness_for(alg: Algebra, label: ClassLabel) -> LinearMap:
+    """The change of basis of ``isomorphism_witness`` for a law already
+    known to be in class ``label``; checked before it is returned."""
     if label is ClassLabel.ABELIAN:
         witness = LinearMap.identity(2)
     elif label in (ClassLabel.B1, ClassLabel.B2, ClassLabel.B3):
@@ -382,7 +391,7 @@ def isomorphism_witness(alg: Algebra) -> tuple:
         raise UnclassifiableFingerprint(f"no witness rule for {label}")
 
     _check_witness(alg, label, witness)
-    return label, witness
+    return witness
 
 
 def _check_witness(alg: Algebra, label: ClassLabel, witness: LinearMap):

@@ -18,12 +18,13 @@ from .classify import (
     ClassLabel,
     canonical_algebra,
     classify,
+    classify_fingerprint,
     fingerprint,
-    isomorphism_witness,
     jordan_classify2,
     label_from_string,
     lie_part_coefficients,
     NotJordan,
+    witness_for,
 )
 from .contraction import (
     IdenticallySingular,
@@ -34,7 +35,7 @@ from .contraction import (
     transport,
     verify_edge,
 )
-from .deformation import cohomology2, orbit_dim, perturbation_residual, stabilizer_dim
+from .deformation import cohomology2, orbit_dim, perturbation_residual
 from .scalars import PoleAtZero
 from . import serialize
 from .serialize import ParseError
@@ -106,10 +107,12 @@ def cmd_classify(args):
             "note: class labels are defined for dimension 2",
         ]
         return 0, text, {"dim": alg.dim, "associative": True, "label": None}
-    if not alg.is_associative():
+    try:
+        fp = fingerprint(alg)
+    except NotAssociative:
         return 2, *_not_associative_report(alg)
-    label, witness = isomorphism_witness(alg)
-    fp = fingerprint(alg)
+    label = classify_fingerprint(fp)
+    witness = witness_for(alg, label)
     dim_orbit = orbit_dim(alg)
     wit = serialize.witness_to_json(witness)
     text = [f"label: {label.value}", f"orbit_dim: {dim_orbit}"]
@@ -143,7 +146,16 @@ def cmd_decompose(args):
     mu = alg.lie_part()
     text = _tensor_lines(phi, "jordan_part")
     text += _tensor_lines(mu, "lie_part")
-    jordan_ok = phi.is_jordan()
+    jordan_class = None
+    if alg.dim == 2:
+        # jordan_classify2 decides the Jordan identity on its own
+        try:
+            jordan_class = jordan_classify2(phi)
+        except NotJordan:
+            pass
+        jordan_ok = jordan_class is not None
+    else:
+        jordan_ok = phi.is_jordan()
     jacobi_ok = mu.is_lie()
     text.append(f"jordan_identity: {str(jordan_ok).lower()}")
     text.append(f"jacobi_identity: {str(jacobi_ok).lower()}")
@@ -153,40 +165,42 @@ def cmd_decompose(args):
         "jordan_identity": jordan_ok,
         "jacobi_identity": jacobi_ok,
     }
-    if alg.dim == 2 and jordan_ok:
-        jl = jordan_classify2(phi)
+    if jordan_class is not None:
         coeffs = lie_part_coefficients(mu)
-        text.append(f"jordan_class: {jl.value}")
+        text.append(f"jordan_class: {jordan_class.value}")
         text.append(f"lie_coefficients: a={coeffs.a}, b={coeffs.b}")
-        payload["jordan_class"] = jl.value
+        payload["jordan_class"] = jordan_class.value
         payload["lie_coefficients"] = {"a": str(coeffs.a), "b": str(coeffs.b)}
     return 0, text, payload
 
 
 def cmd_orbit_dim(args):
     alg = _load_algebra(args)
-    if not alg.is_associative():
+    try:
+        d = orbit_dim(alg)
+    except NotAssociative:
         return 2, *_not_associative_report(alg)
-    d = orbit_dim(alg)
-    s = stabilizer_dim(alg)
+    s = alg.dim * alg.dim - d
     return 0, [f"orbit_dim: {d}", f"stabilizer_dim: {s}"], \
         {"orbit_dim": d, "stabilizer_dim": s}
 
 
 def cmd_cohomology(args):
     alg = _load_algebra(args)
-    if not alg.is_associative():
+    try:
+        z2, b2, h2 = cohomology2(alg)
+    except NotAssociative:
         return 2, *_not_associative_report(alg)
-    z2, b2, h2 = cohomology2(alg)
     text = [f"z2_dim: {z2}", f"b2_dim: {b2}", f"h2_dim: {h2}"]
     return 0, text, {"z2_dim": z2, "b2_dim": b2, "h2_dim": h2}
 
 
 def cmd_perturb(args):
     pert = serialize.parse_perturbation(serialize.load_json(args.input))
-    if not pert.base.is_associative():
+    try:
+        residual = perturbation_residual(pert)
+    except NotAssociative:
         return 2, *_not_associative_report(pert.base)
-    residual = perturbation_residual(pert)
     entries = residual.nonzero_entries()
     if not entries:
         return 0, ["residual: identically associative"], \

@@ -15,8 +15,6 @@ the residual of a perturbed law beta + xi is literally
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import Algebra, DimensionMismatch, LinearMap, NotAssociative
 from .scalars import EpsPolynomial
@@ -86,39 +84,62 @@ def coboundary(beta: Algebra, f: LinearMap) -> Algebra:
     cols = [[x + zero for x in f.column(j)] for j in range(n)]
     frows = [[cols[j][i] for j in range(n)] for i in range(n)]
     c = beta.constants
-    unit = linalg.identity_matrix(n, zero, beta.scalar_one)
     new = []
     for i in range(n):
         row = []
         for j in range(n):
-            term1 = beta._mul(cols[i], unit[j])
-            term2 = beta._mul(unit[i], cols[j])
+            term1 = beta._times_basis(cols[i], j)
+            term2 = beta._basis_times(i, cols[j])
             term3 = linalg.mat_vec(frows, list(c[i][j]))
             row.append([a + b - d for a, b, d in zip(term1, term2, term3)])
         new.append(row)
     return Algebra(n, new)
 
 
+def _tangent_rows(beta: Algebra) -> list:
+    """Rows coboundary(beta, E_rs), flattened in (i, j, k), for (r, s) in
+    lexicographic order; written straight from the constants."""
+    n = beta.dim
+    c = beta.constants
+    zero = beta.scalar_zero
+    rows = []
+    for r in range(n):
+        for s in range(n):
+            row = []
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        x = zero
+                        if i == s:
+                            x = x + c[r][j][k]
+                        if j == s:
+                            x = x + c[i][r][k]
+                        if k == r:
+                            x = x - c[i][j][s]
+                        row.append(x)
+            rows.append(row)
+    return rows
+
+
 class TangentSpace:
-    """Span of the coboundaries of the elementary endomorphisms at a law."""
+    """Span of the coboundaries of the elementary endomorphisms at a law.
+
+    Row (r, s) of ``matrix`` is coboundary(base, E_rs) flattened in
+    (i, j, k), where E_rs sends e_s to e_r and kills the other basis
+    vectors. No multiplication is needed: its entry (i, j, k) is
+
+        [i = s] c[r][j][k] + [j = s] c[i][r][k] - [k = r] c[i][j][s].
+    """
 
     __slots__ = ("base", "matrix", "rank")
 
     def __init__(self, base: Algebra):
         if not base.is_associative():
             raise NotAssociative("tangent spaces are taken at associative laws")
-        n = base.dim
-        rows = []
-        for r in range(n):
-            for s in range(n):
-                e_rs = [[Fraction(1) if (i, j) == (r, s) else Fraction(0)
-                         for j in range(n)] for i in range(n)]
-                image = coboundary(base, LinearMap(e_rs))
-                rows.append([x for row in image.constants
-                             for vec in row for x in vec])
+        rows = _tangent_rows(base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "rank", linalg.rank([list(r) for r in rows]))
+        object.__setattr__(self, "rank", linalg.rank(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("TangentSpace is immutable")
@@ -142,8 +163,6 @@ def circle_product(b1: Algebra, b2: Algebra) -> TrilinearMap:
     if b1.dim != b2.dim:
         raise DimensionMismatch("laws live on different spaces")
     n = b1.dim
-    zero = b1.scalar_zero
-    unit = linalg.identity_matrix(n, zero, b1.scalar_one)
     c1, c2 = b1.constants, b2.constants
     tensor = []
     for i in range(n):
@@ -151,10 +170,10 @@ def circle_product(b1: Algebra, b2: Algebra) -> TrilinearMap:
         for j in range(n):
             row = []
             for k in range(n):
-                t1 = b1._mul(list(c2[i][j]), unit[k])
-                t2 = b1._mul(unit[i], list(c2[j][k]))
-                t3 = b2._mul(list(c1[i][j]), unit[k])
-                t4 = b2._mul(unit[i], list(c1[j][k]))
+                t1 = b1._times_basis(c2[i][j], k)
+                t2 = b1._basis_times(i, c2[j][k])
+                t3 = b2._times_basis(c1[i][j], k)
+                t4 = b2._basis_times(i, c1[j][k])
                 row.append([a - b + c - d for a, b, c, d in zip(t1, t2, t3, t4)])
             plane.append(row)
         tensor.append(plane)
@@ -173,28 +192,54 @@ def cocycle_operator(beta: Algebra, phi: Algebra) -> TrilinearMap:
     return circle_product(beta, phi)
 
 
+def _cocycle_rows(beta: Algebra) -> list:
+    """Rows beta o E_abc, flattened in (i, j, k, l), for (a, b, c) in
+    lexicographic order; written straight from the constants."""
+    n = beta.dim
+    c = beta.constants
+    zero = beta.scalar_zero
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            for e in range(n):  # the output index c of E_abc
+                row = []
+                for i in range(n):
+                    for j in range(n):
+                        for k in range(n):
+                            for l in range(n):
+                                x = zero
+                                if (i, j) == (a, b):
+                                    x = x + c[e][k][l]
+                                if (j, k) == (a, b):
+                                    x = x - c[i][e][l]
+                                if (k, l) == (b, e):
+                                    x = x + c[i][j][a]
+                                if (i, l) == (a, e):
+                                    x = x - c[j][k][b]
+                                row.append(x)
+                rows.append(row)
+    return rows
+
+
 def cohomology2(beta: Algebra) -> tuple[int, int, int]:
     """(z2, b2, h2): cocycle, coboundary and quotient dimensions at beta.
 
     z2 is the kernel dimension of phi -> d2_beta phi on the n^3-dimensional
-    space of bilinear maps, b2 the orbit dimension, h2 their difference.
+    space of bilinear maps, b2 the orbit dimension (the rank of the
+    ``TangentSpace`` matrix), h2 their difference.
+
+    Row (a, b, c) of the d2 matrix is beta o E_abc flattened in
+    (i, j, k, l), where E_abc is the law e_a e_b = e_c with every other
+    basis product zero. No multiplication is needed: its entry
+    (i, j, k, l) is
+
+        [(i, j) = (a, b)] c[c][k][l] - [(j, k) = (a, b)] c[i][c][l]
+        + [(k, l) = (b, c)] c[i][j][a] - [(i, l) = (a, c)] c[j][k][b].
     """
     if not beta.is_associative():
         raise NotAssociative("cohomology is computed at associative laws")
-    n = beta.dim
-    rows = []
-    for i0 in range(n):
-        for j0 in range(n):
-            for k0 in range(n):
-                tensor = [[[Fraction(1) if (i, j, k) == (i0, j0, k0)
-                            else Fraction(0)
-                            for k in range(n)] for j in range(n)]
-                          for i in range(n)]
-                image = circle_product(beta, Algebra(n, tensor))
-                rows.append([x for plane in image.tensor for row in plane
-                             for vec in row for x in vec])
-    z2 = n**3 - linalg.rank(rows)
-    b2 = orbit_dim(beta)
+    z2 = beta.dim**3 - linalg.rank(_cocycle_rows(beta))
+    b2 = linalg.rank(_tangent_rows(beta))
     return z2, b2, z2 - b2
 
 

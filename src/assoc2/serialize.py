@@ -1,23 +1,33 @@
 """JSON (de)serialization for algebras, families and perturbations.
 
 Exact values only: rationals travel as strings "p/q" (or "p", or JSON
-integers); floats are rejected. Rational functions are coefficient arrays
-in ascending degree, {"num": [...], "den": [...]}. The algebra file format
-is {"dim": n, "scalars": "rational", "constants": [[[...]]]} with
-constants[i][j] the coordinates of e_{i+1} * e_{j+1}; dimension-2 files may
-instead use the shorthand {"matrix": [[a1,a2],[b1,b2],[c1,c2],[d1,d2]]}
-listing the rows e1e1, e1e2, e2e1, e2e2.
+integers), optionally signed, in ASCII digits; floats, decimals, exponent
+notation, underscores and padding are rejected. Rational functions are
+coefficient arrays in ascending degree, {"num": [...], "den": [...]}. The
+algebra file format is {"dim": n, "scalars": "rational", "constants":
+[[[...]]]} with constants[i][j] the coordinates of e_{i+1} * e_{j+1};
+dimension-2 files may instead use the shorthand
+{"matrix": [[a1,a2],[b1,b2],[c1,c2],[d1,d2]]} listing the rows e1e1, e1e2,
+e2e1, e2e2. ``dim`` may be at most
+``MAX_DIM``: the second cohomology ranks an n^3 x n^4 matrix, which takes
+seconds at n = 4 and about a minute at n = 5.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import Algebra, LinearMap
 from .contraction import ContractionFamily
 from .deformation import Perturbation
 from .scalars import Polynomial, QuadExt, RationalFunction
+
+
+MAX_DIM = 4
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -30,10 +40,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
-            # Fraction("1e<N>") builds 10**N exactly: a memory bomb
-            raise ParseError(f"bad rational {value!r}: exponent notation is "
-                             "not accepted; write 'p/q' or 'p'")
+        # Fraction() alone would also take decimals, underscores, padding
+        # and exponent notation; "1e<N>" builds 10**N exactly.
+        if not _RATIONAL.fullmatch(value):
+            raise ParseError(f"bad rational {value!r}: write 'p/q' or 'p'; "
+                             "decimals, exponent notation, underscores and "
+                             "spaces are not accepted")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -80,6 +92,8 @@ def parse_algebra(obj) -> Algebra:
         constants = obj["constants"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad algebra object: {exc}") from None
+    if dim > MAX_DIM:
+        raise ParseError(f"dim {dim} is above the supported maximum {MAX_DIM}")
     scalars = obj.get("scalars", "rational")
     if scalars != "rational":
         raise ParseError(f"unsupported scalar kind {scalars!r} in algebra file")

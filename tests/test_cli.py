@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -81,6 +82,15 @@ class TestClassifyCommand:
         assert code == 1 and out == ""
         assert "exponent" in err
 
+    @pytest.mark.parametrize("text", ["0.5", "1_000", " 3/4 "])
+    def test_undocumented_rational_forms_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(
+            {"matrix": [[text, "0"], ["0", "0"], ["0", "0"], ["0", "0"]]}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        assert "bad rational" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classify", "--builtin", "beta6", "--json")
         assert code == 0
@@ -124,6 +134,15 @@ class TestOrbitAndCohomology:
         code, out, _ = run(capsys, "cohomology", "--builtin", "abelian")
         assert code == 0
         assert "z2_dim: 8" in out and "b2_dim: 0" in out and "h2_dim: 8" in out
+
+    def test_dim_above_maximum_exit_1(self, capsys, tmp_path):
+        n = serialize.MAX_DIM + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"dim": n, "constants": [[["0"] * n] * n] * n}))
+        code, out, err = run(capsys, "cohomology", str(path))
+        assert code == 1 and out == ""
+        assert f"dim {n}" in err
 
 
 class TestPerturbCommand:
@@ -223,6 +242,83 @@ class TestParseRational:
         assert serialize.parse_rational("-3/4") == Fraction(-3, 4)
         assert serialize.parse_rational("7") == Fraction(7)
         assert serialize.parse_rational(5) == Fraction(5)
+
+    @pytest.mark.parametrize("text", ["0.5", "1_000", " 3/4 "])
+    def test_undocumented_forms_rejected(self, text):
+        with pytest.raises(serialize.ParseError, match="bad rational"):
+            serialize.parse_rational(text)
+
+
+class TestParseAlgebraDim:
+    def zero_tensor(self, n):
+        return {"dim": n, "constants": [[["0"] * n] * n] * n}
+
+    def test_above_maximum_rejected_before_arithmetic(self, monkeypatch):
+        def no_arithmetic(value):
+            raise AssertionError("constants parsed for a rejected dim")
+
+        monkeypatch.setattr(serialize, "parse_rational", no_arithmetic)
+        with pytest.raises(serialize.ParseError, match="maximum"):
+            serialize.parse_algebra(self.zero_tensor(5))
+
+    def test_maximum_accepted(self):
+        n = serialize.MAX_DIM
+        assert serialize.parse_algebra(self.zero_tensor(n)) == Algebra.zero(n)
+
+
+class TestWorkPerRequest:
+    """Each invariant is computed once per CLI request."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        # the package re-exports the function classify under the module name
+        classify_mod = importlib.import_module("assoc2.classify")
+        from assoc2 import cli, deformation
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("associativity_residuals", "is_jordan"):
+            monkeypatch.setattr(Algebra, name,
+                                counting(name, getattr(Algebra, name)))
+        wrapped = counting("fingerprint", classify_mod.fingerprint)
+        monkeypatch.setattr(classify_mod, "fingerprint", wrapped)
+        monkeypatch.setattr(cli, "fingerprint", wrapped)
+        monkeypatch.setattr(classify_mod, "_check_witness",
+                            counting("check_witness",
+                                     classify_mod._check_witness))
+        monkeypatch.setattr(deformation, "TangentSpace",
+                            counting("TangentSpace", deformation.TangentSpace))
+        return counts
+
+    def test_classify(self, capsys, calls):
+        code, _, _ = run(capsys, "classify", "--builtin", "beta2")
+        assert code == 0
+        assert calls["fingerprint"] == 1
+        assert calls["associativity_residuals"] <= 2
+        assert calls["check_witness"] == 1
+
+    def test_classify_not_associative(self, capsys, calls, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(serialize.dumps(
+            {"matrix": [["0", "1"], ["1", "0"], ["0", "0"], ["0", "0"]]}))
+        code, _, _ = run(capsys, "classify", str(path))
+        assert code == 2
+        assert calls["associativity_residuals"] <= 2
+
+    def test_orbit_dim(self, capsys, calls):
+        code, _, _ = run(capsys, "orbit-dim", "--builtin", "beta4")
+        assert code == 0
+        assert calls["TangentSpace"] == 1
+
+    def test_decompose(self, capsys, calls):
+        code, _, _ = run(capsys, "decompose", "--builtin", "beta6")
+        assert code == 0
+        assert calls["is_jordan"] == 1
 
 
 class TestRoundTrip:
