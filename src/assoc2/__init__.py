@@ -67,7 +67,6 @@ from .deformation import (
     orbit_dim,
     perturbation_residual,
     stabilizer_dim,
-    tangent_space,
 )
 from .scalars import (
     EpsPolynomial,
@@ -78,8 +77,6 @@ from .scalars import (
     Rational,
     RationalFunction,
     rational_sqrt,
-    rf_limit_at_zero,
-    rf_substitute,
     squarefree_decompose,
 )
 

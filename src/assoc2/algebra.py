@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from . import linalg
 from .scalars import Polynomial, rational_sqrt
@@ -25,7 +25,13 @@ class DimensionMismatch(ValueError):
 
 
 class NotAssociative(ValueError):
-    pass
+    """``residual`` is ((i, j, k, l), value), 1-based: the first nonzero
+    coordinate of (e_i e_j) e_k - e_i (e_j e_k), or None when the raise does
+    not come from evaluating the associator."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NotSymmetric(ValueError):
@@ -347,6 +353,14 @@ class Algebra:
 
     def is_associative(self) -> bool:
         return all(not r for r in self.associativity_residuals())
+
+    def require_associative(self, message: str) -> None:
+        """Raise NotAssociative(message) carrying the first nonzero residual."""
+        n = self.dim
+        for index, value in zip(product(range(1, n + 1), repeat=4),
+                                self.associativity_residuals()):
+            if value:
+                raise NotAssociative(message, (index, value))
 
     def is_commutative(self) -> bool:
         c = self.constants

@@ -19,7 +19,6 @@ from .algebra import (
     Algebra,
     Element,
     LinearMap,
-    NotAssociative,
     nontrivial_idempotent2,
     square_zero2,
     unital_square_discriminant,
@@ -136,8 +135,7 @@ class Fingerprint:
 def fingerprint(alg: Algebra) -> Fingerprint:
     if alg.dim != 2:
         raise ValueError("fingerprints are defined for dimension 2")
-    if not alg.is_associative():
-        raise NotAssociative("fingerprint needs an associative law")
+    alg.require_associative("fingerprint needs an associative law")
     return Fingerprint(
         commutative=alg.is_commutative(),
         left_ann_dim=alg.left_annihilator().dim,

@@ -68,21 +68,8 @@ def _tensor_lines(alg: Algebra, prefix: str) -> list[str]:
     return [f"{prefix}: {serialize.algebra_to_json(alg)['constants']}"]
 
 
-def _first_nonzero_residual(alg: Algebra):
-    n = alg.dim
-    res = alg.associativity_residuals()
-    for pos, value in enumerate(res):
-        if value:
-            l = pos % n
-            k = (pos // n) % n
-            j = (pos // (n * n)) % n
-            i = pos // (n * n * n)
-            return (i + 1, j + 1, k + 1, l + 1), value
-    return None
-
-
-def _not_associative_report(alg: Algebra):
-    where, value = _first_nonzero_residual(alg)
+def _not_associative_report(exc: NotAssociative):
+    where, value = exc.residual
     text = [
         "error: law is not associative",
         f"first_nonzero_residual[{where[0]},{where[1]},{where[2]},{where[3]}]:"
@@ -98,19 +85,14 @@ def _not_associative_report(alg: Algebra):
 def cmd_classify(args):
     alg = _load_algebra(args)
     if alg.dim != 2:
-        ok = alg.is_associative()
-        if not ok:
-            return 2, *_not_associative_report(alg)
+        alg.require_associative("classify needs an associative law")
         text = [
             f"dim: {alg.dim}",
             "associative: true",
             "note: class labels are defined for dimension 2",
         ]
         return 0, text, {"dim": alg.dim, "associative": True, "label": None}
-    try:
-        fp = fingerprint(alg)
-    except NotAssociative:
-        return 2, *_not_associative_report(alg)
+    fp = fingerprint(alg)
     label = classify_fingerprint(fp)
     witness = witness_for(alg, label)
     dim_orbit = orbit_dim(alg)
@@ -176,10 +158,7 @@ def cmd_decompose(args):
 
 def cmd_orbit_dim(args):
     alg = _load_algebra(args)
-    try:
-        d = orbit_dim(alg)
-    except NotAssociative:
-        return 2, *_not_associative_report(alg)
+    d = orbit_dim(alg)
     s = alg.dim * alg.dim - d
     return 0, [f"orbit_dim: {d}", f"stabilizer_dim: {s}"], \
         {"orbit_dim": d, "stabilizer_dim": s}
@@ -187,20 +166,14 @@ def cmd_orbit_dim(args):
 
 def cmd_cohomology(args):
     alg = _load_algebra(args)
-    try:
-        z2, b2, h2 = cohomology2(alg)
-    except NotAssociative:
-        return 2, *_not_associative_report(alg)
+    z2, b2, h2 = cohomology2(alg)
     text = [f"z2_dim: {z2}", f"b2_dim: {b2}", f"h2_dim: {h2}"]
     return 0, text, {"z2_dim": z2, "b2_dim": b2, "h2_dim": h2}
 
 
 def cmd_perturb(args):
     pert = serialize.parse_perturbation(serialize.load_json(args.input))
-    try:
-        residual = perturbation_residual(pert)
-    except NotAssociative:
-        return 2, *_not_associative_report(pert.base)
+    residual = perturbation_residual(pert)
     entries = residual.nonzero_entries()
     if not entries:
         return 0, ["residual: identically associative"], \
@@ -377,13 +350,19 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         code, text_lines, payload = handler(args)
+    except NotAssociative as exc:
+        if exc.residual is None:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        code = 2
+        text_lines, payload = _not_associative_report(exc)
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except IdenticallySingular as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (NotAssociative, NotJordan) as exc:
+    except NotJordan as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PoleAtZero as exc:

@@ -10,13 +10,15 @@ The operator conventions, stated by content:
 The circle product is symmetric, a law beta is associative exactly when
 beta o beta = 0, and the cocycle operator is its linearization at beta, so
 the residual of a perturbed law beta + xi is literally
-(beta + xi) o (beta + xi) = 2 d2_beta xi + xi o xi.
+(beta + xi) o (beta + xi) = 2 d2_beta xi + xi o xi. Since b o b is twice
+the associator b(b(x,y),z) - b(x,b(y,z)) of b, the residual is computed as
+twice the associator of beta + xi.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .algebra import Algebra, DimensionMismatch, LinearMap, NotAssociative
+from .algebra import Algebra, DimensionMismatch, LinearMap
 from .scalars import EpsPolynomial
 
 
@@ -134,8 +136,7 @@ class TangentSpace:
     __slots__ = ("base", "matrix", "rank")
 
     def __init__(self, base: Algebra):
-        if not base.is_associative():
-            raise NotAssociative("tangent spaces are taken at associative laws")
+        base.require_associative("tangent spaces are taken at associative laws")
         rows = _tangent_rows(base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
@@ -143,10 +144,6 @@ class TangentSpace:
 
     def __setattr__(self, name, value):
         raise AttributeError("TangentSpace is immutable")
-
-
-def tangent_space(beta: Algebra) -> TangentSpace:
-    return TangentSpace(beta)
 
 
 def orbit_dim(beta: Algebra) -> int:
@@ -187,8 +184,7 @@ def cocycle_operator(beta: Algebra, phi: Algebra) -> TrilinearMap:
     symmetrized form (1/2)(beta o phi + phi o beta); it annihilates every
     coboundary of an associative beta.
     """
-    if not beta.is_associative():
-        raise NotAssociative("cocycle operator needs an associative base")
+    beta.require_associative("cocycle operator needs an associative base")
     return circle_product(beta, phi)
 
 
@@ -236,8 +232,7 @@ def cohomology2(beta: Algebra) -> tuple[int, int, int]:
         [(i, j) = (a, b)] c[c][k][l] - [(j, k) = (a, b)] c[i][c][l]
         + [(k, l) = (b, c)] c[i][j][a] - [(i, l) = (a, c)] c[j][k][b].
     """
-    if not beta.is_associative():
-        raise NotAssociative("cohomology is computed at associative laws")
+    beta.require_associative("cohomology is computed at associative laws")
     z2 = beta.dim**3 - linalg.rank(_cocycle_rows(beta))
     b2 = linalg.rank(_tangent_rows(beta))
     return z2, b2, z2 - b2
@@ -303,19 +298,18 @@ class Perturbation:
 
 
 def perturbation_residual(pert: Perturbation) -> TrilinearMap:
-    """2 d2_base xi + xi o xi as eps-polynomials; zero iff the perturbed
-    law is associative for every parameter value."""
-    if not pert.base.is_associative():
-        raise NotAssociative("perturbation residuals need an associative base")
-    p = pert.nparams
-    base_eps = pert.base.map_scalars(lambda c: EpsPolynomial.const(c, p))
-    xi = pert.infinitesimal_part()
-    first = circle_product(base_eps, xi)
-    second = circle_product(xi, xi)
+    """(base + xi) o (base + xi) as eps-polynomials; zero iff the perturbed
+    law is associative for every parameter value.
+
+    Since b o b = 2 assoc(b) for every law b, this is twice the associator
+    of base + xi, in the (i, j, k, l) order of ``associativity_residuals``.
+    The circle product is symmetric and bilinear and base o base = 0, so it
+    equals 2 d2_base xi + xi o xi.
+    """
+    pert.base.require_associative(
+        "perturbation residuals need an associative base")
     n = pert.base.dim
-    tensor = [
-        [[[2 * first.tensor[i][j][k][l] + second.tensor[i][j][k][l]
-           for l in range(n)] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return TrilinearMap(n, tensor)
+    res = iter(pert.law().associativity_residuals())
+    return TrilinearMap(n, [[[[2 * next(res) for _ in range(n)]
+                              for _ in range(n)] for _ in range(n)]
+                            for _ in range(n)])

@@ -409,16 +409,6 @@ def _coerce_rf(x):
     return None
 
 
-def rf_limit_at_zero(r: RationalFunction) -> Fraction:
-    """Value of r at t = 0 after cancellation; raises PoleAtZero otherwise."""
-    return r.limit_at_zero()
-
-
-def rf_substitute(r: RationalFunction, s: Polynomial) -> RationalFunction:
-    """Composition r(s(t)) for a nonconstant polynomial s, normalized."""
-    return r.substitute(s)
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = d * k**2 with d squarefree (d carries the sign of n)."""
     if n == 0:

@@ -8,7 +8,7 @@ algebra file format is {"dim": n, "scalars": "rational", "constants":
 [[[...]]]} with constants[i][j] the coordinates of e_{i+1} * e_{j+1};
 dimension-2 files may instead use the shorthand
 {"matrix": [[a1,a2],[b1,b2],[c1,c2],[d1,d2]]} listing the rows e1e1, e1e2,
-e2e1, e2e2. ``dim`` may be at most
+e2e1, e2e2. ``dim`` is a JSON integer, at most
 ``MAX_DIM``: the second cohomology ranks an n^3 x n^4 matrix, which takes
 seconds at n = 4 and about a minute at n = 5.
 """
@@ -88,10 +88,12 @@ def parse_algebra(obj) -> Algebra:
             raise ParseError("matrix shorthand rows must have 2 entries")
         return Algebra.from_matrix2(parsed)
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         constants = obj["constants"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"bad algebra object: {exc}") from None
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"dim must be a JSON integer, not {dim!r}")
     if dim > MAX_DIM:
         raise ParseError(f"dim {dim} is above the supported maximum {MAX_DIM}")
     scalars = obj.get("scalars", "rational")

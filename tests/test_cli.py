@@ -265,6 +265,80 @@ class TestParseAlgebraDim:
         n = serialize.MAX_DIM
         assert serialize.parse_algebra(self.zero_tensor(n)) == Algebra.zero(n)
 
+    @pytest.mark.parametrize("dim", [2.9, 2.0, "2", True])
+    def test_non_integer_rejected(self, dim):
+        obj = self.zero_tensor(2)
+        obj["dim"] = dim
+        with pytest.raises(serialize.ParseError, match="JSON integer"):
+            serialize.parse_algebra(obj)
+
+    def test_non_integer_exit_1(self, capsys, tmp_path):
+        obj = self.zero_tensor(2)
+        obj["dim"] = 2.0
+        path = tmp_path / "float_dim.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        assert "JSON integer" in err
+
+
+_LAW2 = {"matrix": [["0", "1/2"], ["1", "0"], ["0", "0"], ["0", "-3"]]}
+_LAW3 = {"dim": 3, "constants": [
+    [["0", "0", "0"], ["0", "0", "2/3"], ["0", "0", "0"]],
+    [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]],
+    [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]]}
+_PERT = {"base": _LAW2, "directions": [
+    {"matrix": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]}]}
+
+# exact reports of the first nonzero residual: law2 at (1,1,1,1),
+# law3 at (2,1,2,1); perturb reports its base
+_TEXT = {
+    "law2": "error: law is not associative\n"
+            "first_nonzero_residual[1,1,1,1]: -1/2\n",
+    "law3": "error: law is not associative\n"
+            "first_nonzero_residual[2,1,2,1]: -2/3\n",
+}
+_JSON = {
+    "law2": '{\n  "error": "not_associative",\n'
+            '  "first_nonzero_residual": {\n    "index": [\n'
+            '      1,\n      1,\n      1,\n      1\n    ],\n'
+            '    "value": "-1/2"\n  }\n}\n',
+    "law3": '{\n  "error": "not_associative",\n'
+            '  "first_nonzero_residual": {\n    "index": [\n'
+            '      2,\n      1,\n      2,\n      1\n    ],\n'
+            '    "value": "-2/3"\n  }\n}\n',
+}
+
+
+class TestNotAssociativeReport:
+    """Every command that needs an associative law answers a
+    non-associative one with the same exit-2 report."""
+
+    @pytest.mark.parametrize("command,law", [
+        ("classify", "law2"), ("classify", "law3"), ("orbit-dim", "law2"),
+        ("cohomology", "law3"), ("perturb", "law2")])
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_report_bytes(self, capsys, tmp_path, command, law, as_json,
+                          to_file):
+        obj = _PERT if command == "perturb" else \
+            {"law2": _LAW2, "law3": _LAW3}[law]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        argv = [command, str(path)]
+        if as_json:
+            argv.append("--json")
+        dest = tmp_path / "report"
+        if to_file:
+            argv += ["--output", str(dest)]
+        code, out, err = run(capsys, *argv)
+        expected = (_JSON if as_json else _TEXT)[law]
+        assert code == 2 and err == ""
+        if to_file:
+            assert out == "" and dest.read_text() == expected
+        else:
+            assert out == expected
+
 
 class TestWorkPerRequest:
     """Each invariant is computed once per CLI request."""
@@ -293,6 +367,9 @@ class TestWorkPerRequest:
                                      classify_mod._check_witness))
         monkeypatch.setattr(deformation, "TangentSpace",
                             counting("TangentSpace", deformation.TangentSpace))
+        monkeypatch.setattr(deformation, "circle_product",
+                            counting("circle_product",
+                                     deformation.circle_product))
         return counts
 
     def test_classify(self, capsys, calls):
@@ -308,7 +385,7 @@ class TestWorkPerRequest:
             {"matrix": [["0", "1"], ["1", "0"], ["0", "0"], ["0", "0"]]}))
         code, _, _ = run(capsys, "classify", str(path))
         assert code == 2
-        assert calls["associativity_residuals"] <= 2
+        assert calls["associativity_residuals"] == 1
 
     def test_orbit_dim(self, capsys, calls):
         code, _, _ = run(capsys, "orbit-dim", "--builtin", "beta4")
@@ -319,6 +396,20 @@ class TestWorkPerRequest:
         code, _, _ = run(capsys, "decompose", "--builtin", "beta6")
         assert code == 0
         assert calls["is_jordan"] == 1
+
+    def test_perturb(self, capsys, calls, tmp_path):
+        # one associator at the base, one at base + xi
+        path = tmp_path / "pert.json"
+        path.write_text(serialize.dumps({
+            "base": {"matrix": [["1", "0"], ["0", "1"], ["0", "1"],
+                                ["0", "0"]]},
+            "directions": [{"matrix": [["0", "1"], ["1", "0"], ["0", "0"],
+                                       ["1", "0"]]}],
+        }))
+        code, _, _ = run(capsys, "perturb", str(path))
+        assert code == 0
+        assert calls.get("circle_product", 0) == 0
+        assert calls["associativity_residuals"] == 2
 
 
 class TestRoundTrip:

@@ -13,6 +13,7 @@ from assoc2 import (
     Perturbation,
     Polynomial,
     RationalFunction,
+    TangentSpace,
     canonical_algebra,
     circle_product,
     classify,
@@ -22,7 +23,6 @@ from assoc2 import (
     orbit_dim,
     perturbation_residual,
     stabilizer_dim,
-    tangent_space,
 )
 from oracles import oracle_cohomology
 from util import rand_fraction, random_associative2, random_law2
@@ -141,7 +141,7 @@ class TestOrbits:
         assert stabilizer_dim(canonical_algebra(ClassLabel.ABELIAN)) == 4
 
     def test_tangent_matrix_shape(self):
-        ts = tangent_space(canonical_algebra(ClassLabel.B3))
+        ts = TangentSpace(canonical_algebra(ClassLabel.B3))
         assert len(ts.matrix) == 4 and len(ts.matrix[0]) == 8
         assert ts.rank == 3
 

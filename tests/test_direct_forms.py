@@ -4,14 +4,17 @@ tensor agree with their definitions, on generated laws of dimensions 2 and
 ``Algebra.multiply`` or goes through ``coboundary``/``circle_product``."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
     Algebra,
+    EpsPolynomial,
     LinearMap,
+    NotAssociative,
     Perturbation,
     TangentSpace,
     canonical_algebra,
@@ -200,3 +203,36 @@ class TestPerturbationResidual:
                                                     phi.constants)])
             expected = circle_reference(law, law)
             assert [x.substitute(eps) for x in flat4(residual)] == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(base=associative_laws, data=st.data())
+    def test_residual_equals_circle_product_formula(self, base, data):
+        # reference: 2 base o xi + xi o xi, the base lifted to eps-polynomials
+        n = base.dim
+        count = data.draw(st.integers(1, 3))
+        directions = data.draw(st.lists(free_laws(n), min_size=count,
+                                        max_size=count))
+        assume(linalg.rank([flat(d) for d in directions]) == count)
+        pert = Perturbation(base, directions)
+        xi = pert.infinitesimal_part()
+        lifted = base.map_scalars(lambda c: EpsPolynomial.const(c, count))
+        expected = [2 * a + b for a, b in zip(flat4(circle_product(lifted, xi)),
+                                              flat4(circle_product(xi, xi)))]
+        assert flat4(perturbation_residual(pert)) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(base=st.one_of(free_laws(2), free_laws(3)), data=st.data())
+    def test_non_associative_base_reports_its_own_residual(self, base, data):
+        assume(not base.is_associative())
+        n = base.dim
+        count = data.draw(st.integers(1, 2))
+        directions = data.draw(st.lists(free_laws(n), min_size=count,
+                                        max_size=count))
+        assume(linalg.rank([flat(d) for d in directions]) == count)
+        with pytest.raises(NotAssociative) as info:
+            perturbation_residual(Perturbation(base, directions))
+        residuals = base.associativity_residuals()
+        pos = next(m for m, r in enumerate(residuals) if r)
+        index = list(product(range(1, n + 1), repeat=4))[pos]
+        assert info.value.residual == (index, residuals[pos])
+        assert type(info.value.residual[1]) is Fraction

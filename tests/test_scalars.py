@@ -12,8 +12,6 @@ from assoc2 import (
     Rational,
     RationalFunction,
     rational_sqrt,
-    rf_limit_at_zero,
-    rf_substitute,
     squarefree_decompose,
 )
 from util import random_rf
@@ -64,10 +62,10 @@ class TestRationalFunction:
             assert again.num == r.num and again.den == r.den
 
     def test_limit_examples(self):
-        assert rf_limit_at_zero(RationalFunction(-(T**2))) == 0
-        assert rf_limit_at_zero(RationalFunction(3 * T**2 + 2 * T, T)) == 2
+        assert RationalFunction(-(T**2)).limit_at_zero() == 0
+        assert RationalFunction(3 * T**2 + 2 * T, T).limit_at_zero() == 2
         with pytest.raises(PoleAtZero):
-            rf_limit_at_zero(RationalFunction(Polynomial((1,)), T))
+            RationalFunction(Polynomial((1,)), T).limit_at_zero()
 
     def test_limit_multiplicative(self):
         rng = random.Random(2)
@@ -75,22 +73,22 @@ class TestRationalFunction:
         while done < 200:
             r1, r2 = random_rf(rng), random_rf(rng)
             try:
-                lhs = rf_limit_at_zero(r1 * r2)
-                rhs = rf_limit_at_zero(r1) * rf_limit_at_zero(r2)
+                lhs = (r1 * r2).limit_at_zero()
+                rhs = r1.limit_at_zero() * r2.limit_at_zero()
             except PoleAtZero:
                 continue
             assert lhs == rhs
             done += 1
 
     def test_substitute_examples(self):
-        assert rf_substitute(RationalFunction(T), 2 * T**2) == \
+        assert RationalFunction(T).substitute(2 * T**2) == \
             RationalFunction(2 * T**2)
         half_t = RationalFunction(T) * Fraction(1, 2)
-        assert rf_substitute(half_t, 2 * T**2) == RationalFunction(T**2)
+        assert half_t.substitute(2 * T**2) == RationalFunction(T**2)
         r = RationalFunction(Polynomial((1,)), T - 1)
-        assert rf_substitute(r, T + 1) == RationalFunction(Polynomial((1,)), T)
+        assert r.substitute(T + 1) == RationalFunction(Polynomial((1,)), T)
         with pytest.raises(ValueError):
-            rf_substitute(r, Polynomial((2,)))
+            r.substitute(Polynomial((2,)))
 
     def test_field_ops(self):
         r = RationalFunction(T + 1, T - 1)
