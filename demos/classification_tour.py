@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
-    GaussianRational,
     LinearMap,
+    QuadExt,
     canonical_algebra,
     fingerprint,
     isomorphism_witness,
@@ -44,12 +44,12 @@ print("transported back equals the canonical table:",
 
 print("\nOver the Gaussian rationals the two 4-dimensional-orbit classes")
 print("merge: sending e2 to i*e2 turns beta1 into beta2 exactly.")
-i = GaussianRational(0, 1)
+i = QuadExt(0, 1)  # d = -1 by default: the Gaussian rationals Q(i)
 lift = canonical_algebra(ASSOCIATIVE_LABELS[1]).map_scalars(
-    lambda c: GaussianRational(c, 0))
-g = LinearMap([[GaussianRational(1, 0), GaussianRational(0, 0)],
-               [GaussianRational(0, 0), i]])
+    lambda c: QuadExt(c, 0))
+g = LinearMap([[QuadExt(1, 0), QuadExt(0, 0)],
+               [QuadExt(0, 0), i]])
 target = canonical_algebra(ASSOCIATIVE_LABELS[2]).map_scalars(
-    lambda c: GaussianRational(c, 0))
+    lambda c: QuadExt(c, 0))
 print("beta1 over Q(i), basis (e1, i e2):",
       "equals beta2" if lift.change_basis(g) == target else "mismatch!")

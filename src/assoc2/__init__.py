@@ -16,11 +16,9 @@ from .algebra import (
     NotAlternating,
     NotAssociative,
     NotSymmetric,
-    OneDimIdeals,
     SingularMap,
     Subspace,
     nontrivial_idempotent2,
-    one_dim_ideals2,
     square_zero2,
     unital_square_discriminant,
 )
@@ -70,11 +68,9 @@ from .deformation import (
 )
 from .scalars import (
     EpsPolynomial,
-    GaussianRational,
     PoleAtZero,
     Polynomial,
     QuadExt,
-    Rational,
     RationalFunction,
     rational_sqrt,
     squarefree_decompose,

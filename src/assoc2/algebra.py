@@ -150,11 +150,6 @@ class LinearMap:
     def column(self, j: int):
         return [self.matrix[i][j] for i in range(self.n)]
 
-    def apply(self, x: Element) -> Element:
-        if len(x) != self.n:
-            raise DimensionMismatch("vector length does not match the map")
-        return Element(linalg.mat_vec([list(r) for r in self.matrix], list(x)))
-
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self * other)."""
         return LinearMap(
@@ -193,12 +188,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def contains(self, x: Element) -> bool:
-        if not self.vectors:
-            return x.is_zero()
-        rows = [list(v) for v in self.vectors]
-        return linalg.rank(rows + [list(x)]) == len(self.vectors)
 
     def __repr__(self):
         return f"Subspace({list(self.vectors)!r})"
@@ -548,21 +537,6 @@ class Algebra:
                 return False
             seen_dim = len(current)
 
-    def direct_sum(self, other: "Algebra") -> "Algebra":
-        n, m = self.dim, other.dim
-        total = n + m
-        z = Fraction(0)
-        tensor = [[[z] * total for _ in range(total)] for _ in range(total)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    tensor[i][j][k] = self.constants[i][j][k]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    tensor[n + i][n + j][n + k] = other.constants[i][j][k]
-        return Algebra(total, tensor)
-
 
 # -- closed-form quadratic analysis in dimension 2 ---------------------------
 
@@ -694,67 +668,3 @@ def nontrivial_idempotent2(alg: Algebra):
     if not c2:
         return u0 * a
     return None
-
-
-@dataclass(frozen=True)
-class OneDimIdeals:
-    """One-dimensional two-sided ideals of a 2-dim law.
-
-    ``all_lines`` marks the degenerate case where every line qualifies;
-    ``irrational_count`` counts real ideal lines with irrational slope,
-    which exist but have no exact coordinates over the rationals.
-    """
-
-    all_lines: bool
-    lines: tuple
-    irrational_count: int = 0
-
-
-def one_dim_ideals2(alg: Algebra) -> OneDimIdeals:
-    """All lines L with A * L and L * A inside L, n = 2."""
-    _require_dim2(alg)
-    c = alg.constants
-
-    conditions = []
-    for i in range(2):
-        for left in (True, False):
-            # w(s) = e_{i+1} * (e1 + s e2) (or the mirrored product)
-            w1 = Polynomial((c[i][0][0], c[i][1][0])) if left else \
-                Polynomial((c[0][i][0], c[1][i][0]))
-            w2 = Polynomial((c[i][0][1], c[i][1][1])) if left else \
-                Polynomial((c[0][i][1], c[1][i][1]))
-            # parallel to (1, s): w2 - s w1 = 0
-            s = Polynomial.t()
-            conditions.append(w2 - s * w1)
-
-    e2_line_ok = all(
-        not c[i][1][0] and not c[1][i][0] for i in range(2)
-    )
-
-    nonzero = [p for p in conditions if not p.is_zero()]
-    if not nonzero:
-        if not e2_line_ok:
-            raise RuntimeError("unsupported ideal configuration")
-        return OneDimIdeals(True, (), 0)
-
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = g.gcd(p)
-    lines = []
-    remaining = g
-    for root in g.rational_roots():
-        lines.append(Subspace((Element((1, root)),)))
-        while remaining(root) == 0 and remaining.degree > 0:
-            remaining = divmod(remaining, Polynomial((-root, 1)))[0]
-    irrational = 0
-    if remaining.degree == 2:
-        b, c0 = remaining.coefficient(1), remaining.coefficient(0)
-        a2 = remaining.coefficient(2)
-        disc = b * b - 4 * a2 * c0
-        if disc > 0:
-            irrational = 2
-    elif remaining.degree > 2:
-        raise RuntimeError("unexpected ideal-condition degree")
-    if e2_line_ok:
-        lines.append(Subspace((Element((0, 1)),)))
-    return OneDimIdeals(False, tuple(lines), irrational)

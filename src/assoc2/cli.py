@@ -3,8 +3,9 @@
 Commands: classify, decompose, orbit-dim, cohomology, perturb, contract,
 graph. Algebra inputs come from JSON files or from --builtin NAME with
 NAME one of beta1..beta7, abelian, phi1..phi6. Exit codes: 0 ok, 1 on
-IO/parse errors, 2 when an input law is not associative where it must be,
-3 when a contraction limit does not exist (pole at t = 0).
+IO/parse errors, 2 when an input law is not associative where it must be
+(argparse usage errors also exit 2), 3 when a contraction limit does not
+exist (pole at t = 0).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .classify import (
     witness_for,
 )
 from .contraction import (
-    IdenticallySingular,
     contract,
     contraction_graph,
     search_census,
@@ -359,12 +359,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except IdenticallySingular as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except NotJordan as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except PoleAtZero as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

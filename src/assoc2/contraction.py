@@ -171,7 +171,8 @@ def verify_edge(source: ClassLabel, target: ClassLabel,
     return ContractionEdge(source, target, fam, True, got, True)
 
 
-def _proper_families() -> list:
+def proper_edge_families() -> list:
+    """The seven explicit proper degeneration families (source, target, f_t)."""
     t = RationalFunction.t()
     one = RationalFunction.const(1)
     return [
@@ -190,11 +191,6 @@ def _proper_families() -> list:
         (ClassLabel.B4, ClassLabel.B5,
          ContractionFamily.from_columns((1, t), (0, t * t))),
     ]
-
-
-def proper_edge_families() -> list:
-    """The seven explicit proper degeneration families (source, target, f_t)."""
-    return _proper_families()
 
 
 _NODE_ORDER = (
@@ -239,7 +235,7 @@ def contraction_graph() -> ContractionGraph:
     rigid classes receive no arrow.
     """
     edges = []
-    for source, target, fam in _proper_families():
+    for source, target, fam in proper_edge_families():
         edge = verify_edge(source, target, fam)
         if not edge.verified:
             raise RuntimeError(f"stored family failed verification: {edge}")

@@ -2,12 +2,12 @@
 
 Four scalar domains, each immutable and normalized on construction:
 
-* ``Rational`` is ``fractions.Fraction``, re-exported: arbitrary precision,
-  always reduced, positive denominator.
+* ``fractions.Fraction``: arbitrary precision, always reduced, positive
+  denominator.
 * ``Polynomial`` / ``RationalFunction``: univariate exact arithmetic in one
   parameter ``t`` (used for contraction families and their t -> 0 limits).
-* ``QuadExt`` / ``GaussianRational``: quadratic extensions a + b*sqrt(d)
-  with d a squarefree integer; ``GaussianRational`` fixes d = -1.
+* ``QuadExt``: quadratic extensions a + b*sqrt(d) with d a squarefree
+  integer; the default d = -1 gives the Gaussian rationals.
 * ``EpsPolynomial``: sparse polynomials in formal parameters e1..ep
   (perturbation bookkeeping).
 
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 _PRIMES_FIRST = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,10 +47,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def const(cls, c) -> "Polynomial":
-        return cls((c,))
 
     @classmethod
     def t(cls) -> "Polynomial":
@@ -178,19 +172,10 @@ class Polynomial:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
     def __call__(self, x):
         acc = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial((c,))
         return acc
 
     def rational_roots(self) -> list[Fraction]:
@@ -303,9 +288,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -384,12 +366,6 @@ class RationalFunction:
             raise PoleAtZero(f"pole at t = 0 in {self}")
         return self.num.coefficient(0) / self.den.coefficient(0)
 
-    def substitute(self, s: Polynomial) -> "RationalFunction":
-        s = _coerce_poly(s)
-        if s is None or s.degree < 1:
-            raise ValueError("substitution needs a nonconstant polynomial")
-        return RationalFunction(self.num.compose(s), self.den.compose(s))
-
     def __str__(self):
         if self.den == Polynomial((1,)):
             return str(self.num)
@@ -451,10 +427,11 @@ def rational_sqrt(q: Fraction):
 
 
 class QuadExt:
-    """Element a + b*sqrt(d) of a real quadratic extension of the rationals.
+    """Element a + b*sqrt(d) of a quadratic extension of the rationals.
 
     d must be a squarefree integer other than 0 and 1, fixed per element;
-    mixed-d arithmetic is a TypeError (rationals coerce into either field).
+    the default d = -1 gives the Gaussian rationals Q(i). Mixed-d
+    arithmetic is a TypeError (rationals coerce into either field).
     """
 
     __slots__ = ("a", "b", "d")
@@ -480,8 +457,6 @@ class QuadExt:
         return None, None
 
     def _make(self, a, b):
-        if isinstance(self, GaussianRational) and self.d == -1:
-            return GaussianRational(a, b)
         return QuadExt(a, b, self.d)
 
     def is_zero(self) -> bool:
@@ -535,9 +510,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        return self._make(self.a, -self.b)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.d
 
@@ -570,26 +542,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, d={self.d})"
-
-
-class GaussianRational(QuadExt):
-    """Gaussian rational real + imag*i (the d = -1 quadratic extension)."""
-
-    __slots__ = ()
-
-    def __init__(self, real, imag=0):
-        super().__init__(real, imag, -1)
-
-    @property
-    def real(self) -> Fraction:
-        return self.a
-
-    @property
-    def imag(self) -> Fraction:
-        return self.b
-
-    def __repr__(self):
-        return f"GaussianRational({self.a!r}, {self.b!r})"
 
 
 class EpsPolynomial:
@@ -703,25 +655,15 @@ class EpsPolynomial:
 
     __rmul__ = __mul__
 
-    def substitute(self, values) -> Fraction:
-        """Evaluate at exact rational parameter values."""
-        values = [_as_fraction(v) for v in values]
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of parameter values")
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            term = c
-            for v, e in zip(values, exps):
-                term *= v**e
-            total += term
-        return total
+    def _sorted_terms(self) -> list:
+        """Terms by total degree, then exponent tuple: one order per value."""
+        return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for exps in sorted(self._terms, key=lambda e: (sum(e), e)):
-            c = self._terms[exps]
+        for exps, c in self._sorted_terms():
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
@@ -743,4 +685,4 @@ class EpsPolynomial:
         return text
 
     def __repr__(self):
-        return f"EpsPolynomial({self.nvars}, {self._terms!r})"
+        return f"EpsPolynomial({self.nvars}, {dict(self._sorted_terms())!r})"

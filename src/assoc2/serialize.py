@@ -182,3 +182,8 @@ def load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON arrays or objects too deeply") \
+            from None

@@ -15,10 +15,10 @@ from assoc2 import (
     ASSOCIATIVE_LABELS,
     Algebra,
     ClassLabel,
-    GaussianRational,
     LiePartCoefficients,
     LinearMap,
     Perturbation,
+    QuadExt,
     admissible_lie_parts,
     canonical_algebra,
     classify,
@@ -38,7 +38,7 @@ from oracles import (
     oracle_cohomology,
     ten_equation_residuals,
 )
-from util import rand_fraction, rand_invertible, random_law2
+from util import direct_sum, rand_fraction, rand_invertible, random_law2
 
 RIGID = (ClassLabel.B1, ClassLabel.B2, ClassLabel.B6, ClassLabel.B7)
 NON_RIGID = (ClassLabel.B3, ClassLabel.B4, ClassLabel.B5)
@@ -169,11 +169,11 @@ def test_criterion_07_hochschild_complex_property():
 def _random_bigger_algebra(rng, dim):
     one_dim = (Algebra.zero(1), Algebra.from_products(1, {(1, 1): (1,)}))
     if dim == 3:
-        alg = canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)).direct_sum(
-            rng.choice(one_dim))
+        alg = direct_sum(canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)),
+                         rng.choice(one_dim))
     else:
-        alg = canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)).direct_sum(
-            canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)))
+        alg = direct_sum(canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)),
+                         canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)))
     return alg.change_basis(rand_invertible(rng, dim, -2, 2))
 
 
@@ -204,12 +204,12 @@ def test_criterion_08_jordan_lie_decomposition():
 def test_criterion_09_complexification():
     with criterion(9, "beta1 equals beta2 over the Gaussian rationals"):
         lift = canonical_algebra(ClassLabel.B1).map_scalars(
-            lambda c: GaussianRational(c, 0))
-        g = LinearMap([[GaussianRational(1, 0), GaussianRational(0, 0)],
-                       [GaussianRational(0, 0), GaussianRational(0, 1)]])
+            lambda c: QuadExt(c, 0))
+        g = LinearMap([[QuadExt(1, 0), QuadExt(0, 0)],
+                       [QuadExt(0, 0), QuadExt(0, 1)]])
         moved = lift.change_basis(g)
         target = canonical_algebra(ClassLabel.B2).map_scalars(
-            lambda c: GaussianRational(c, 0))
+            lambda c: QuadExt(c, 0))
         assert moved == target
 
 

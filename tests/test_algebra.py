@@ -9,18 +9,17 @@ from assoc2 import (
     ClassLabel,
     Element,
     ExistsIrrational,
-    GaussianRational,
     LinearMap,
     NotAlternating,
     NotSymmetric,
+    QuadExt,
     SingularMap,
     canonical_algebra,
     nontrivial_idempotent2,
-    one_dim_ideals2,
     square_zero2,
 )
 from oracles import ten_equation_residuals
-from util import rand_invertible, random_associative2, random_law2
+from util import direct_sum, rand_invertible, random_associative2, random_law2
 
 B = {label.value: canonical_algebra(label) for label in ASSOCIATIVE_LABELS}
 E1, E2 = Element((1, 0)), Element((0, 1))
@@ -113,8 +112,8 @@ class TestDecomposition:
         for _ in range(20):
             samples.append(random_associative2(rng)[1])
         one_dim = Algebra.from_products(1, {(1, 1): (1,)})
-        samples.append(B["beta3"].direct_sum(one_dim))
-        samples.append(B["beta6"].direct_sum(B["beta4"]))
+        samples.append(direct_sum(B["beta3"], one_dim))
+        samples.append(direct_sum(B["beta6"], B["beta4"]))
         for alg in samples:
             assert alg.is_associative()
             assert alg.jordan_part().is_jordan()
@@ -151,8 +150,8 @@ class TestJordanLieChecks:
                     phi = random_associative2(rng)[1].jordan_part()
                 else:
                     one_dim = Algebra.from_products(1, {(1, 1): (1,)})
-                    base = canonical_algebra(
-                        rng.choice(ASSOCIATIVE_LABELS)).direct_sum(one_dim)
+                    base = direct_sum(canonical_algebra(
+                        rng.choice(ASSOCIATIVE_LABELS)), one_dim)
                     phi = base.change_basis(
                         rand_invertible(rng, 3, -2, 2)).jordan_part()
                 assert phi.is_jordan()
@@ -213,12 +212,12 @@ class TestChangeBasis:
             B["beta1"].change_basis(LinearMap([[1, 1], [1, 1]]))
 
     def test_complexification(self):
-        i = GaussianRational(0, 1)
-        one = GaussianRational(1, 0)
-        zero = GaussianRational(0, 0)
-        lifted = B["beta1"].map_scalars(lambda c: GaussianRational(c, 0))
+        i = QuadExt(0, 1)
+        one = QuadExt(1, 0)
+        zero = QuadExt(0, 0)
+        lifted = B["beta1"].map_scalars(lambda c: QuadExt(c, 0))
         moved = lifted.change_basis(LinearMap([[one, zero], [zero, i]]))
-        target = B["beta2"].map_scalars(lambda c: GaussianRational(c, 0))
+        target = B["beta2"].map_scalars(lambda c: QuadExt(c, 0))
         assert moved == target
 
 
@@ -322,31 +321,6 @@ class TestQuadraticWitnesses:
             assert (nontrivial_idempotent2(alg) is not None) == exists, label
 
 
-class TestIdeals:
-    def test_beta1_simple(self):
-        got = one_dim_ideals2(B["beta1"])
-        assert not got.all_lines and not got.lines and not got.irrational_count
-
-    def test_beta2_diagonal_lines(self):
-        got = one_dim_ideals2(B["beta2"])
-        spans = {tuple(s.vectors[0]) for s in got.lines}
-        assert (Fraction(1), Fraction(1)) in spans
-        assert (Fraction(1), Fraction(-1)) in spans
-
-    def test_abelian_all(self):
-        assert one_dim_ideals2(B["abelian"]).all_lines
-
-    def test_ideal_property_holds(self):
-        for name in ("beta2", "beta4", "beta5", "beta6", "beta7"):
-            alg = B[name]
-            got = one_dim_ideals2(alg)
-            for line in got.lines:
-                u = line.vectors[0]
-                for e in (E1, E2):
-                    assert line.contains(alg.multiply(e, u))
-                    assert line.contains(alg.multiply(u, e))
-
-
 class TestSmallDimensions:
     def test_dim1(self):
         idem_line = Algebra.from_products(1, {(1, 1): (1,)})
@@ -356,6 +330,6 @@ class TestSmallDimensions:
         assert zero1.is_nilpotent() and zero1.derived_dim() == 0
 
     def test_direct_sum_associative(self):
-        s = B["beta2"].direct_sum(B["beta5"])
+        s = direct_sum(B["beta2"], B["beta5"])
         assert s.dim == 4
         assert s.is_associative()

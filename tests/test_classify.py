@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
@@ -26,6 +27,31 @@ from assoc2 import (
 from util import rand_invertible, random_associative2
 
 NONASSOC = Algebra.from_products(2, {(1, 1): (0, 1), (1, 2): (1, 0)})
+
+non_integers = st.fractions(min_value=-3, max_value=3,
+                            max_denominator=6).filter(lambda q: q.denominator > 1)
+rational_invertible = st.lists(non_integers, min_size=4, max_size=4).map(
+    lambda xs: LinearMap([xs[:2], xs[2:]])).filter(lambda g: g.is_invertible)
+
+
+@st.composite
+def laws_in_class(draw):
+    """(label, law): a law of class ``label`` in a rational basis.
+
+    For beta1 and beta2 the law is u = e1 the identity and e2 * e2 = c e1,
+    with c = +-k r^2 of the class's sign. Unless k = 1, c is not a signed
+    rational square, so the witness needs sqrt(k) and has QuadExt entries.
+    """
+    label = draw(st.sampled_from(ASSOCIATIVE_LABELS))
+    base = canonical_algebra(label)
+    if label in (ClassLabel.B1, ClassLabel.B2):
+        sign = 1 if label is ClassLabel.B2 else -1
+        k = draw(st.sampled_from([1, 2, 3, 5, 6, 7]))
+        r = draw(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                              max_denominator=4))
+        base = Algebra.from_matrix2([[1, 0], [0, 1], [0, 1],
+                                     [sign * k * r * r, 0]])
+    return label, base.change_basis(draw(rational_invertible))
 
 
 class TestCanonicalTables:
@@ -142,6 +168,26 @@ class TestWitness:
         assert label == ClassLabel.B2
         entries = [x for row in wit.matrix for x in row]
         assert any(isinstance(x, QuadExt) and x.d == 3 for x in entries)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=laws_in_class())
+    def test_rational_basis_change_classifies_and_transports(self, case):
+        label, alg = case
+        assert classify(alg) == label
+        got, wit = isomorphism_witness(alg)
+        assert got == label
+        target = canonical_algebra(label)
+        entries = [x for row in wit.matrix for x in row]
+        d = next((x.d for x in entries if isinstance(x, QuadExt)), None)
+        if d is None:
+            assert alg.change_basis(wit) == target
+            return
+
+        def lift(x):
+            return x if isinstance(x, QuadExt) else QuadExt(x, 0, d)
+        moved = alg.map_scalars(lift).change_basis(
+            LinearMap([[lift(x) for x in row] for row in wit.matrix]))
+        assert moved == target.map_scalars(lift)
 
 
 class TestJordanClassify:

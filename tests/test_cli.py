@@ -7,6 +7,7 @@ import pytest
 from assoc2 import Algebra, ClassLabel, canonical_algebra
 from assoc2.cli import main
 from assoc2 import serialize
+from util import direct_sum
 
 
 @pytest.fixture()
@@ -67,6 +68,15 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not_utf8", "deep_nesting"])
+    def test_hostile_file_exit_1(self, capsys, tmp_path, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_float_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text('{"matrix": [[0.5, 0], [0, 0], [0, 0], [0, 0]]}')
@@ -107,8 +117,8 @@ class TestClassifyCommand:
         assert "label: beta5" in dest.read_text()
 
     def test_higher_dim_is_checked_only(self, capsys, tmp_path):
-        alg = canonical_algebra(ClassLabel.B2).direct_sum(
-            Algebra.from_products(1, {(1, 1): (1,)}))
+        alg = direct_sum(canonical_algebra(ClassLabel.B2),
+                         Algebra.from_products(1, {(1, 1): (1,)}))
         path = tmp_path / "dim3.json"
         path.write_text(serialize.dumps(serialize.algebra_to_json(alg)))
         code, out, _ = run(capsys, "classify", str(path))
@@ -122,6 +132,22 @@ class TestDecomposeCommand:
         assert "jordan_class: phi6" in out
         assert "lie_coefficients: a=0, b=1/2" in out
         assert "jordan_identity: true" in out
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_non_jordan_symmetric_law(self, capsys, tmp_path, as_json):
+        path = tmp_path / "nonjordan.json"
+        path.write_text(json.dumps(
+            {"matrix": [["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]]}))
+        code, out, err = run(capsys, "decompose", str(path),
+                             *(["--json"] if as_json else []))
+        assert code == 0 and err == ""
+        if as_json:
+            payload = json.loads(out)
+            assert payload["jordan_identity"] is False
+            assert "jordan_class" not in payload
+        else:
+            assert "jordan_identity: false\n" in out
+            assert "jordan_class" not in out
 
 
 class TestOrbitAndCohomology:
@@ -197,6 +223,16 @@ class TestContractCommand:
         code, _, err = run(capsys, "contract", "--builtin", "beta2",
                            str(path))
         assert code == 3 and "pole" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_singular_family_exit_1(self, capsys, tmp_path, as_json):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"matrix": [["1", "1"], ["1", "1"]]}))
+        code, out, err = run(capsys, "contract", "--builtin", "beta1",
+                             str(path), *(["--json"] if as_json else []))
+        assert code == 1 and out == ""
+        assert err == ("error: bad family: family determinant is "
+                       "identically zero\n")
 
     def test_search(self, capsys):
         code, out, _ = run(capsys, "contract", "--search", "beta1", "beta3",

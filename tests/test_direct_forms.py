@@ -25,6 +25,7 @@ from assoc2 import (
     perturbation_residual,
 )
 from assoc2.deformation import _cocycle_rows, _tangent_rows
+from util import direct_sum, eps_substitute
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -49,7 +50,7 @@ associative_laws = st.one_of(
     st.builds(lambda label, g: canonical_algebra(label).change_basis(g),
               st.sampled_from(ASSOCIATIVE_LABELS), invertible(2)),
     st.builds(lambda label, extra, g:
-              canonical_algebra(label).direct_sum(extra).change_basis(g),
+              direct_sum(canonical_algebra(label), extra).change_basis(g),
               st.sampled_from(ASSOCIATIVE_LABELS), st.sampled_from([ONE, ZERO1]),
               invertible(3)),
 )
@@ -202,7 +203,8 @@ class TestPerturbationResidual:
                                   for r1, r2 in zip(law.constants,
                                                     phi.constants)])
             expected = circle_reference(law, law)
-            assert [x.substitute(eps) for x in flat4(residual)] == expected
+            assert [eps_substitute(x, eps) for x in flat4(residual)] == \
+                expected
 
     @settings(max_examples=25, deadline=None)
     @given(base=associative_laws, data=st.data())

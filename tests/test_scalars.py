@@ -5,16 +5,14 @@ import pytest
 
 from assoc2 import (
     EpsPolynomial,
-    GaussianRational,
     PoleAtZero,
     Polynomial,
     QuadExt,
-    Rational,
     RationalFunction,
     rational_sqrt,
     squarefree_decompose,
 )
-from util import random_rf
+from util import eps_substitute, random_rf
 
 T = Polynomial.t()
 
@@ -36,16 +34,9 @@ class TestPolynomial:
         g = ((2 * T - 1) * (T + 3)).gcd((2 * T - 1) * (T - 5))
         assert g == T - Fraction(1, 2)
 
-    def test_compose(self):
-        assert (T**2).compose(T + 1) == T**2 + 2 * T + 1
-
     def test_rational_roots(self):
         p = (2 * T - 1) * (T + 3) * (T**2 + 1)
         assert p.rational_roots() == [Fraction(-3), Fraction(1, 2)]
-
-    def test_derivative(self):
-        assert (T**3 - 2 * T).derivative() == 3 * T**2 - 2
-
 
 class TestRationalFunction:
     def test_normal_form(self):
@@ -80,16 +71,6 @@ class TestRationalFunction:
             assert lhs == rhs
             done += 1
 
-    def test_substitute_examples(self):
-        assert RationalFunction(T).substitute(2 * T**2) == \
-            RationalFunction(2 * T**2)
-        half_t = RationalFunction(T) * Fraction(1, 2)
-        assert half_t.substitute(2 * T**2) == RationalFunction(T**2)
-        r = RationalFunction(Polynomial((1,)), T - 1)
-        assert r.substitute(T + 1) == RationalFunction(Polynomial((1,)), T)
-        with pytest.raises(ValueError):
-            r.substitute(Polynomial((2,)))
-
     def test_field_ops(self):
         r = RationalFunction(T + 1, T - 1)
         assert r / r == 1
@@ -123,8 +104,8 @@ class TestFieldLaws:
         rng = random.Random(5)
 
         def make(r):
-            return GaussianRational(Fraction(r.randint(-9, 9), r.randint(1, 4)),
-                                    Fraction(r.randint(-9, 9), r.randint(1, 4)))
+            return QuadExt(Fraction(r.randint(-9, 9), r.randint(1, 4)),
+                           Fraction(r.randint(-9, 9), r.randint(1, 4)))
         _field_law_sample(rng, make)
         for _ in range(200):
             g = make(rng)
@@ -133,8 +114,8 @@ class TestFieldLaws:
             assert g * g.inverse() == 1
 
     def test_reduction_idempotence_rational(self):
-        assert Rational(6, 4) == Rational(3, 2)
-        assert Rational(Rational(6, 4)) == Rational(3, 2)
+        assert Fraction(6, 4) == Fraction(3, 2)
+        assert Fraction(Fraction(6, 4)) == Fraction(3, 2)
 
 
 class TestQuadExt:
@@ -149,10 +130,11 @@ class TestQuadExt:
             QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
 
     def test_gaussian_fields(self):
-        g = GaussianRational(Fraction(1, 2), Fraction(3, 4))
-        assert g.real == Fraction(1, 2) and g.imag == Fraction(3, 4)
+        # the default field is the Gaussian rationals Q(i)
+        g = QuadExt(Fraction(1, 2), Fraction(3, 4))
+        assert g.a == Fraction(1, 2) and g.b == Fraction(3, 4)
         assert g.d == -1
-        assert (g * g.conjugate()).imag == 0
+        assert g * QuadExt(g.a, -g.b) == g.norm() == Fraction(13, 16)
 
 
 class TestEpsPolynomial:
@@ -180,12 +162,20 @@ class TestEpsPolynomial:
     def test_substitute(self):
         e1, e2 = EpsPolynomial.var(1, 2), EpsPolynomial.var(2, 2)
         p = 3 * e1 * e1 * e2 - Fraction(1, 2)
-        assert p.substitute([Fraction(2), Fraction(1, 3)]) == \
+        assert eps_substitute(p, [Fraction(2), Fraction(1, 3)]) == \
             3 * 4 * Fraction(1, 3) - Fraction(1, 2)
 
     def test_str(self):
         e1, e2 = EpsPolynomial.var(1, 2), EpsPolynomial.var(2, 2)
         assert str(2 * e1 * e1 * e2 - e2) == "-eps2 + 2*eps1^2*eps2"
+
+    def test_repr_independent_of_term_order(self):
+        a = EpsPolynomial(2, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
+        b = EpsPolynomial(2, {(0, 0): 3, (0, 1): 2, (1, 0): 1})
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == ("EpsPolynomial(2, {(0, 0): Fraction(3, 1), "
+                                      "(0, 1): Fraction(2, 1), "
+                                      "(1, 0): Fraction(1, 1)})")
 
 
 class TestNumberHelpers:

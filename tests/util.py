@@ -8,6 +8,7 @@ from fractions import Fraction
 from assoc2 import (
     ASSOCIATIVE_LABELS,
     Algebra,
+    EpsPolynomial,
     LinearMap,
     Polynomial,
     RationalFunction,
@@ -52,3 +53,31 @@ def random_rf(rng: random.Random) -> RationalFunction:
         den = random_poly(rng, 2)
         if not den.is_zero():
             return RationalFunction(num, den)
+
+
+def direct_sum(a: Algebra, b: Algebra) -> Algebra:
+    """The product law on a's space followed by b's, blocks not mixing."""
+    n, m = a.dim, b.dim
+    total = n + m
+    tensor = [[[Fraction(0)] * total for _ in range(total)]
+              for _ in range(total)]
+    for offset, alg in ((0, a), (n, b)):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                for k in range(alg.dim):
+                    tensor[offset + i][offset + j][offset + k] = \
+                        alg.constants[i][j][k]
+    return Algebra(total, tensor)
+
+
+def eps_substitute(p: EpsPolynomial, values) -> Fraction:
+    """Evaluate p at exact rational parameter values."""
+    if len(values) != p.nvars:
+        raise ValueError("wrong number of parameter values")
+    total = Fraction(0)
+    for exps, c in p.terms().items():
+        term = Fraction(c)
+        for v, e in zip(values, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
