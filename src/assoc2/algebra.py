@@ -196,7 +196,7 @@ class Subspace:
 class Algebra:
     """Bilinear law on n-space given by its structure-constant tensor."""
 
-    __slots__ = ("dim", "constants")
+    __slots__ = ("dim", "constants", "scalar_zero")
 
     def __init__(self, dim: int, constants):
         tensor = tuple(
@@ -208,6 +208,9 @@ class Algebra:
             raise DimensionMismatch(f"tensor shape inconsistent with dim {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "constants", tensor)
+        # the zero of the constants' scalar type, made once per law
+        object.__setattr__(self, "scalar_zero",
+                           tensor[0][0][0] * 0 if dim else Fraction(0))
 
     def __setattr__(self, name, value):
         raise AttributeError("Algebra is immutable")
@@ -245,14 +248,6 @@ class Algebra:
         return [list(c[0][0]), list(c[0][1]), list(c[1][0]), list(c[1][1])]
 
     # -- scalar plumbing -----------------------------------------------------
-
-    @property
-    def scalar_zero(self):
-        for row in self.constants:
-            for vec in row:
-                for x in vec:
-                    return x * 0
-        return Fraction(0)
 
     @property
     def scalar_one(self):
@@ -604,19 +599,24 @@ def unital_square_discriminant(alg: Algebra):
     return u, z, p, q, p * p + 4 * q
 
 
-def nontrivial_idempotent2(alg: Algebra):
+_UNSOLVED = object()
+
+
+def nontrivial_idempotent2(alg: Algebra, unital=_UNSOLVED):
     """Idempotent x (x * x = x) other than 0 and the identity, n = 2.
 
     Supported for associative laws and 2-dimensional Jordan laws; these
     guarantee the structure the closed forms need (an identity, or a
     rational square-zero vector to split along). A single discriminant
     decides real existence; irrational witnesses come back as
-    ExistsIrrational.
+    ExistsIrrational. ``unital`` is ``unital_square_discriminant(alg)``
+    when the caller has already solved it.
     """
     _require_dim2(alg)
     if alg.derived_dim() == 0:
         return None
-    unital = unital_square_discriminant(alg)
+    if unital is _UNSOLVED:
+        unital = unital_square_discriminant(alg)
     if unital is not None:
         u, z, p, q, disc = unital
         if disc <= 0:

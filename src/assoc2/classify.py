@@ -9,7 +9,7 @@ when possible and over a tagged quadratic extension otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -130,21 +130,29 @@ class Fingerprint:
     nilpotent: bool
     has_nontrivial_idempotent: bool
     has_square_zero: bool
+    # the solves behind ``unital`` and ``has_nontrivial_idempotent``, which
+    # witness_for reuses; not invariants, so left out of == and repr
+    _unital: tuple | None = field(default=None, compare=False, repr=False)
+    _idempotent: object = field(default=None, compare=False, repr=False)
 
 
 def fingerprint(alg: Algebra) -> Fingerprint:
     if alg.dim != 2:
         raise ValueError("fingerprints are defined for dimension 2")
     alg.require_associative("fingerprint needs an associative law")
+    unital = unital_square_discriminant(alg)
+    idempotent = nontrivial_idempotent2(alg, unital)
     return Fingerprint(
         commutative=alg.is_commutative(),
         left_ann_dim=alg.left_annihilator().dim,
         right_ann_dim=alg.right_annihilator().dim,
         derived_dim=alg.derived_dim(),
-        unital=alg.identity_element() is not None,
+        unital=unital is not None,
         nilpotent=alg.is_nilpotent(),
-        has_nontrivial_idempotent=nontrivial_idempotent2(alg) is not None,
+        has_nontrivial_idempotent=idempotent is not None,
         has_square_zero=square_zero2(alg) is not None,
+        _unital=unital,
+        _idempotent=idempotent,
     )
 
 
@@ -182,17 +190,18 @@ def jordan_classify2(alg: Algebra) -> ClassLabel:
         raise NotJordan("law fails the Jordan identity")
     if alg.derived_dim() == 0:
         return ClassLabel.JABELIAN
-    if alg.identity_element() is not None:
+    unital = unital_square_discriminant(alg)
+    if unital is not None:
         if square_zero2(alg) is not None:
             return ClassLabel.PHI3
-        if nontrivial_idempotent2(alg) is not None:
+        if nontrivial_idempotent2(alg, unital) is not None:
             return ClassLabel.PHI2
         return ClassLabel.PHI1
     if alg.derived_dim() == 1:
         return ClassLabel.PHI5 if alg.is_nilpotent() else ClassLabel.PHI4
     # non-unital with full derived space: the half-identity class. Confirm
     # via the spectrum {1, 1/2} of left multiplication at an idempotent.
-    e = nontrivial_idempotent2(alg)
+    e = nontrivial_idempotent2(alg, unital)
     if isinstance(e, Element):
         le = [[x for x in alg.multiply(e, alg.basis_element(j + 1))]
               for j in range(2)]
@@ -335,17 +344,19 @@ def isomorphism_witness(alg: Algebra) -> tuple:
     root of the unital discriminant may be needed, in which case g has
     QuadExt entries tagged with the squarefree radicand.
     """
-    label = classify(alg)
-    return label, witness_for(alg, label)
+    fp = fingerprint(alg)
+    return classify_fingerprint(fp), witness_for(alg, fp)
 
 
-def witness_for(alg: Algebra, label: ClassLabel) -> LinearMap:
-    """The change of basis of ``isomorphism_witness`` for a law already
-    known to be in class ``label``; checked before it is returned."""
+def witness_for(alg: Algebra, fp: Fingerprint) -> LinearMap:
+    """The change of basis of ``isomorphism_witness`` for a law whose
+    fingerprint is ``fp``, built from the solves ``fp`` carries; checked
+    before it is returned."""
+    label = classify_fingerprint(fp)
     if label is ClassLabel.ABELIAN:
         witness = LinearMap.identity(2)
     elif label in (ClassLabel.B1, ClassLabel.B2, ClassLabel.B3):
-        u, z, p, q, disc = unital_square_discriminant(alg)
+        u, z, p, q, disc = fp._unital
         w = z - (u * (p * HALF))
         if label is ClassLabel.B3:
             witness = _columns_to_map(list(u), list(w))
@@ -363,8 +374,7 @@ def witness_for(alg: Algebra, label: ClassLabel) -> LinearMap:
                 witness = _columns_to_map(col1, col2)
     elif label is ClassLabel.B4:
         ann = alg.left_annihilator().vectors[0]
-        idem = nontrivial_idempotent2(alg)
-        witness = _columns_to_map(list(ann), list(idem))
+        witness = _columns_to_map(list(ann), list(fp._idempotent))
     elif label is ClassLabel.B5:
         for cand in (alg.basis_element(1), alg.basis_element(2),
                      alg.basis_element(1) + alg.basis_element(2)):
@@ -378,7 +388,7 @@ def witness_for(alg: Algebra, label: ClassLabel) -> LinearMap:
         side = alg.left_annihilator() if label is ClassLabel.B6 \
             else alg.right_annihilator()
         v = side.vectors[0]
-        f = nontrivial_idempotent2(alg)
+        f = fp._idempotent
         acts = alg.multiply(f, v) if label is ClassLabel.B6 \
             else alg.multiply(v, f)
         if acts != v:

@@ -1,11 +1,18 @@
+import argparse
+import contextlib
 import importlib
+import io
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from assoc2 import Algebra, ClassLabel, canonical_algebra
-from assoc2.cli import main
+from assoc2 import Algebra, ClassLabel, LinearMap, canonical_algebra
+from assoc2.cli import build_parser, main
 from assoc2 import serialize
 from util import direct_sum
 
@@ -33,6 +40,40 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_exit(capsys, argv, parse=main):
+    """(exit code, stdout, stderr), argparse's SystemExit included."""
+    try:
+        code = parse(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# Help, usage errors and abbreviated options, captured at a fixed terminal
+# width from the CLI that built every command's parser on each request.
+_PINNED = json.loads(
+    (Path(__file__).parent / "cli_bytes.json").read_text(encoding="utf-8"))
+
+
+def _case_id(case):
+    return " ".join(case["argv"]) or "no-arguments"
+
+
+class TestPinnedBytes:
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", str(_PINNED["columns"]))
+
+    @pytest.mark.skipif(
+        list(sys.version_info[:2]) != _PINNED["python"],
+        reason="argparse words help and errors differently across versions")
+    @pytest.mark.parametrize("case", _PINNED["cases"], ids=_case_id)
+    def test_bytes(self, capsys, case):
+        assert run_exit(capsys, case["argv"]) == \
+            (case["code"], case["stdout"], case["stderr"])
 
 
 class TestClassifyCommand:
@@ -377,13 +418,14 @@ class TestNotAssociativeReport:
 
 
 class TestWorkPerRequest:
-    """Each invariant is computed once per CLI request."""
+    """Each invariant is computed once per CLI request, and a request
+    builds only its own command's parser."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         # the package re-exports the function classify under the module name
         classify_mod = importlib.import_module("assoc2.classify")
-        from assoc2 import cli, deformation
+        from assoc2 import algebra, cli, contraction, deformation, scalars
         counts = {}
 
         def counting(name, fn):
@@ -406,6 +448,24 @@ class TestWorkPerRequest:
         monkeypatch.setattr(deformation, "circle_product",
                             counting("circle_product",
                                      deformation.circle_product))
+        monkeypatch.setattr(Algebra, "identity_element",
+                            counting("identity_element",
+                                     Algebra.identity_element))
+        wrapped = counting("nontrivial_idempotent2",
+                           algebra.nontrivial_idempotent2)
+        monkeypatch.setattr(algebra, "nontrivial_idempotent2", wrapped)
+        monkeypatch.setattr(classify_mod, "nontrivial_idempotent2", wrapped)
+        verify = counting("verify_edge", contraction.verify_edge)
+        for module in (contraction, cli):
+            if hasattr(module, "verify_edge"):
+                monkeypatch.setattr(module, "verify_edge", verify)
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            counting("add_parser",
+                                     argparse._SubParsersAction.add_parser))
+        # __rmul__ is the same function; count both names
+        eps_mul = counting("eps_mul", scalars.EpsPolynomial.__mul__)
+        monkeypatch.setattr(scalars.EpsPolynomial, "__mul__", eps_mul)
+        monkeypatch.setattr(scalars.EpsPolynomial, "__rmul__", eps_mul)
         return counts
 
     def test_classify(self, capsys, calls):
@@ -414,6 +474,45 @@ class TestWorkPerRequest:
         assert calls["fingerprint"] == 1
         assert calls["associativity_residuals"] <= 2
         assert calls["check_witness"] == 1
+        assert calls["add_parser"] == 1
+
+    @pytest.mark.parametrize("label", ["abelian"] + [f"beta{i}"
+                                                     for i in range(1, 8)])
+    def test_classify_solves_once(self, capsys, calls, label):
+        code, _, _ = run(capsys, "classify", "--builtin", label)
+        assert code == 0
+        assert calls.get("identity_element", 0) <= 1
+        assert calls.get("nontrivial_idempotent2", 0) <= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--builtin", "abelian"],
+        ["decompose", "--builtin", "beta1", "--json"],
+        ["orbit-dim", "--builtin=beta4"],
+        ["cohomology", "--builtin", "beta5"],
+        ["contract", "--search", "beta6", "beta1"],
+        ["graph", "--json"],
+    ], ids=lambda argv: argv[0])
+    def test_parses_only_its_command(self, capsys, calls, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert calls["add_parser"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nope"], ["classify", "-h"], ["perturb", "--help"],
+        ["classify", "--bogus"], ["graph", "extra"], ["perturb"],
+        ["contract", "--template-bound", "x"], ["orbit-dim", "--builtin"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_help_and_errors_from_full_parser(self, capsys, argv):
+        full = run_exit(capsys, argv, build_parser().parse_args)
+        assert run_exit(capsys, argv) == full
+        assert full[0] in (0, 2) and full[1] + full[2]
+
+    def test_search_verifies_each_found_pair_once(self, capsys, calls):
+        for pair in (("beta1", "beta3"), ("beta2", "beta5")):
+            calls.clear()
+            code, out, _ = run(capsys, "contract", "--search", *pair)
+            assert code == 0 and "verified: true" in out
+            assert calls["verify_edge"] == 1
 
     def test_classify_not_associative(self, capsys, calls, tmp_path):
         path = tmp_path / "bad.json"
@@ -446,6 +545,48 @@ class TestWorkPerRequest:
         assert code == 0
         assert calls.get("circle_product", 0) == 0
         assert calls["associativity_residuals"] == 2
+        # the scalar zero is made once per law, not once per output vector
+        assert calls["eps_mul"] == 54
+
+
+_fuzz_entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_fuzz_laws = st.one_of(
+    st.lists(_fuzz_entries, min_size=8, max_size=8).map(
+        lambda xs: Algebra.from_matrix2([xs[0:2], xs[2:4], xs[4:6], xs[6:8]])),
+    st.builds(lambda label, xs: canonical_algebra(label).change_basis(
+                  LinearMap([xs[0:2], xs[2:4]])),
+              st.sampled_from(list(ClassLabel)),
+              st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+                  lambda xs: xs[0] * xs[3] != xs[1] * xs[2])),
+)
+
+
+class TestFrontDoorFuzz:
+    """On generated dimension-2 laws, associative or not, the law commands
+    exit 0 or 2, never raise, and print what the full parser's request
+    prints."""
+
+    @staticmethod
+    def serve(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(alg=_fuzz_laws)
+    def test_law_commands(self, tmp_path_factory, alg):
+        from assoc2 import cli
+        path = tmp_path_factory.mktemp("fuzz") / "law.json"
+        path.write_text(serialize.dumps(serialize.algebra_to_json(alg)))
+        for command in ("classify", "decompose", "orbit-dim", "cohomology"):
+            for extra in ([], ["--json"]):
+                argv = [command, str(path), *extra]
+                got = self.serve(argv)
+                assert got[0] in (0, 2), got
+                with mock.patch.object(
+                        cli, "_parse", lambda a: build_parser().parse_args(a)):
+                    assert got == self.serve(argv)
 
 
 class TestRoundTrip:
