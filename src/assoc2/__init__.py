@@ -17,7 +17,6 @@ from .algebra import (
     NotAssociative,
     NotSymmetric,
     SingularMap,
-    Subspace,
     nontrivial_idempotent2,
     square_zero2,
     unital_square_discriminant,
@@ -56,7 +55,6 @@ from .contraction import (
 )
 from .deformation import (
     Perturbation,
-    TangentSpace,
     TrilinearMap,
     circle_product,
     coboundary,

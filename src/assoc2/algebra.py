@@ -128,7 +128,7 @@ class LinearMap:
         object.__setattr__(self, "matrix", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
@@ -152,7 +152,7 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self * other)."""
-        return LinearMap(
+        return type(self)(
             linalg.mat_mul([list(r) for r in self.matrix],
                            [list(r) for r in other.matrix])
         )
@@ -167,30 +167,6 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap({[list(r) for r in self.matrix]!r})"
-
-
-class Subspace:
-    """Span of a linearly independent tuple of elements."""
-
-    __slots__ = ("vectors",)
-
-    def __init__(self, vectors):
-        vecs = tuple(v if isinstance(v, Element) else Element(v) for v in vectors)
-        if vecs:
-            rows = [list(v) for v in vecs]
-            if linalg.rank(rows) != len(vecs):
-                raise ValueError("spanning vectors must be independent")
-        object.__setattr__(self, "vectors", vecs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def __repr__(self):
-        return f"Subspace({list(self.vectors)!r})"
 
 
 class Algebra:
@@ -460,27 +436,27 @@ class Algebra:
 
     # -- linear invariants -------------------------------------------------
 
-    def left_annihilator(self) -> Subspace:
-        """Basis of {u : u * v = 0 for every v}."""
+    def left_annihilator(self) -> tuple:
+        """Independent Elements spanning {u : u * v = 0 for every v}."""
         n = self.dim
         rows = [
             [self.constants[i][j][k] for i in range(n)]
             for j in range(n) for k in range(n)
         ]
-        return self._kernel_subspace(rows)
+        return self._kernel(rows)
 
-    def right_annihilator(self) -> Subspace:
-        """Basis of {u : v * u = 0 for every v}."""
+    def right_annihilator(self) -> tuple:
+        """Independent Elements spanning {u : v * u = 0 for every v}."""
         n = self.dim
         rows = [
             [self.constants[i][j][k] for j in range(n)]
             for i in range(n) for k in range(n)
         ]
-        return self._kernel_subspace(rows)
+        return self._kernel(rows)
 
-    def _kernel_subspace(self, rows) -> Subspace:
+    def _kernel(self, rows) -> tuple:
         basis = linalg.kernel_basis(rows, self.dim, self.scalar_zero, self.scalar_one)
-        return Subspace(tuple(Element(v) for v in basis))
+        return tuple(Element(v) for v in basis)
 
     def identity_element(self) -> Element | None:
         """The two-sided identity when one exists."""
@@ -613,8 +589,8 @@ def nontrivial_idempotent2(alg: Algebra, unital=_UNSOLVED):
     when the caller has already solved it.
     """
     _require_dim2(alg)
-    if alg.derived_dim() == 0:
-        return None
+    if not any(x for row in alg.constants for vec in row for x in vec):
+        return None  # the zero law
     if unital is _UNSOLVED:
         unital = unital_square_discriminant(alg)
     if unital is not None:

@@ -144,8 +144,8 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     idempotent = nontrivial_idempotent2(alg, unital)
     return Fingerprint(
         commutative=alg.is_commutative(),
-        left_ann_dim=alg.left_annihilator().dim,
-        right_ann_dim=alg.right_annihilator().dim,
+        left_ann_dim=len(alg.left_annihilator()),
+        right_ann_dim=len(alg.right_annihilator()),
         derived_dim=alg.derived_dim(),
         unital=unital is not None,
         nilpotent=alg.is_nilpotent(),
@@ -373,7 +373,7 @@ def witness_for(alg: Algebra, fp: Fingerprint) -> LinearMap:
                 col1 = [_quad_promote(x, d) for x in u]
                 witness = _columns_to_map(col1, col2)
     elif label is ClassLabel.B4:
-        ann = alg.left_annihilator().vectors[0]
+        ann = alg.left_annihilator()[0]
         witness = _columns_to_map(list(ann), list(fp._idempotent))
     elif label is ClassLabel.B5:
         for cand in (alg.basis_element(1), alg.basis_element(2),
@@ -387,7 +387,7 @@ def witness_for(alg: Algebra, fp: Fingerprint) -> LinearMap:
     elif label in (ClassLabel.B6, ClassLabel.B7):
         side = alg.left_annihilator() if label is ClassLabel.B6 \
             else alg.right_annihilator()
-        v = side.vectors[0]
+        v = side[0]
         f = fp._idempotent
         acts = alg.multiply(f, v) if label is ClassLabel.B6 \
             else alg.multiply(v, f)

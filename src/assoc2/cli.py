@@ -28,8 +28,8 @@ from .classify import (
     witness_for,
 )
 from .contraction import (
-    contract,
     contraction_graph,
+    limit_at_zero,
     search_census,
     search_families,
     transport,
@@ -235,7 +235,7 @@ def cmd_contract(args):
         rows = moved.to_matrix2()
         for k, name in enumerate(_PRODUCT_NAMES):
             text.append(f"transported[{name}]: ({rows[k][0]}, {rows[k][1]})")
-    limit = contract(alg, fam)
+    limit = limit_at_zero(moved)
     text += _tensor_lines(limit, "limit")
     payload = {
         "transported": [

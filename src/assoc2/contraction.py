@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from . import linalg
 from .algebra import HALF, Algebra, DimensionMismatch, LinearMap
 from .classify import ASSOCIATIVE_LABELS, ClassLabel, canonical_algebra, classify
 from .deformation import orbit_dim
@@ -34,21 +33,18 @@ def _as_rf(x) -> RationalFunction:
     raise TypeError(f"cannot use {type(x).__name__} as a family entry")
 
 
-class ContractionFamily:
+class ContractionFamily(LinearMap):
     """Matrix of rational functions in t; column j is f_t(e_{j+1})."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, matrix):
-        rows = tuple(tuple(_as_rf(x) for x in row) for row in matrix)
+        rows = [[_as_rf(x) for x in row] for row in matrix]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("family matrix must be square")
-        object.__setattr__(self, "matrix", rows)
+        super().__init__(rows)
         if not self.det:
             raise IdenticallySingular("family determinant is identically zero")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContractionFamily is immutable")
 
     @classmethod
     def from_columns(cls, *columns) -> "ContractionFamily":
@@ -62,30 +58,9 @@ class ContractionFamily:
         return cls([[_as_rf(entries[i]) if i == j else zero for j in range(n)]
                     for i in range(n)])
 
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def det(self) -> RationalFunction:
-        zero = RationalFunction(Polynomial())
-        return linalg.determinant([list(r) for r in self.matrix], zero)
-
-    def compose(self, other: "ContractionFamily") -> "ContractionFamily":
-        """self applied after other (matrix product self * other)."""
-        return ContractionFamily(
-            linalg.mat_mul([list(r) for r in self.matrix],
-                           [list(r) for r in other.matrix])
-        )
-
     def evaluate(self, t0) -> LinearMap:
         """The member map at a rational parameter value."""
         return LinearMap([[x.evaluate(t0) for x in row] for row in self.matrix])
-
-    def __eq__(self, other):
-        if isinstance(other, ContractionFamily):
-            return self.matrix == other.matrix
-        return NotImplemented
 
     def __repr__(self):
         return f"ContractionFamily({[[str(x) for x in r] for r in self.matrix]!r})"
@@ -104,13 +79,18 @@ def transport(beta: Algebra, fam: ContractionFamily) -> Algebra:
     if fam.n != beta.dim:
         raise DimensionMismatch("family size does not match the law")
     lifted = beta.map_scalars(lambda c: RationalFunction(Polynomial((c,))))
-    return lifted.change_basis(LinearMap(fam.matrix))
+    return lifted.change_basis(fam)
 
 
 def contract(beta: Algebra, fam: ContractionFamily) -> Algebra:
     """Entrywise t -> 0 limit of the transported tensor."""
-    moved = transport(beta, fam)
-    n = beta.dim
+    return limit_at_zero(transport(beta, fam))
+
+
+def limit_at_zero(moved: Algebra) -> Algebra:
+    """Entrywise t -> 0 limit of a law over Q(t); PoleAtZero names the
+    first entry without one."""
+    n = moved.dim
     tensor = []
     for i in range(n):
         row = []

@@ -99,8 +99,14 @@ def coboundary(beta: Algebra, f: LinearMap) -> Algebra:
 
 
 def _tangent_rows(beta: Algebra) -> list:
-    """Rows coboundary(beta, E_rs), flattened in (i, j, k), for (r, s) in
-    lexicographic order; written straight from the constants."""
+    """The tangent matrix of the orbit: rows coboundary(beta, E_rs),
+    flattened in (i, j, k), for (r, s) in lexicographic order.
+
+    E_rs sends e_s to e_r and kills the other basis vectors. No
+    multiplication is needed: entry (i, j, k) of row (r, s) is
+
+        [i = s] c[r][j][k] + [j = s] c[i][r][k] - [k = r] c[i][j][s].
+    """
     n = beta.dim
     c = beta.constants
     zero = beta.scalar_zero
@@ -123,32 +129,10 @@ def _tangent_rows(beta: Algebra) -> list:
     return rows
 
 
-class TangentSpace:
-    """Span of the coboundaries of the elementary endomorphisms at a law.
-
-    Row (r, s) of ``matrix`` is coboundary(base, E_rs) flattened in
-    (i, j, k), where E_rs sends e_s to e_r and kills the other basis
-    vectors. No multiplication is needed: its entry (i, j, k) is
-
-        [i = s] c[r][j][k] + [j = s] c[i][r][k] - [k = r] c[i][j][s].
-    """
-
-    __slots__ = ("base", "matrix", "rank")
-
-    def __init__(self, base: Algebra):
-        base.require_associative("tangent spaces are taken at associative laws")
-        rows = _tangent_rows(base)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "rank", linalg.rank(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentSpace is immutable")
-
-
 def orbit_dim(beta: Algebra) -> int:
     """Dimension of the isomorphism orbit = rank of the tangent matrix."""
-    return TangentSpace(beta).rank
+    beta.require_associative("tangent spaces are taken at associative laws")
+    return linalg.rank(_tangent_rows(beta))
 
 
 def stabilizer_dim(beta: Algebra) -> int:
@@ -221,8 +205,8 @@ def cohomology2(beta: Algebra) -> tuple[int, int, int]:
     """(z2, b2, h2): cocycle, coboundary and quotient dimensions at beta.
 
     z2 is the kernel dimension of phi -> d2_beta phi on the n^3-dimensional
-    space of bilinear maps, b2 the orbit dimension (the rank of the
-    ``TangentSpace`` matrix), h2 their difference.
+    space of bilinear maps, b2 the orbit dimension (the rank of
+    ``_tangent_rows``), h2 their difference.
 
     Row (a, b, c) of the d2 matrix is beta o E_abc flattened in
     (i, j, k, l), where E_abc is the law e_a e_b = e_c with every other

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-_PRIMES_FIRST = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_BOUND = 1 << 16
 
 
 class PoleAtZero(ZeroDivisionError):
@@ -386,13 +386,21 @@ def _coerce_rf(x):
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = d * k**2 with d squarefree (d carries the sign of n)."""
+    """Write n = d * k**2 (d carries the sign of n).
+
+    Trial division stops at _TRIAL_BOUND, so large inputs cost no more than
+    small ones. The cofactor left over has no prime factor up to the bound;
+    its root goes into k when it is a perfect square, otherwise it stays in
+    d. So d is squarefree whenever that cofactor is below _TRIAL_BOUND**2;
+    above it, d can keep the square of a prime larger than the bound.
+    """
     if n == 0:
         return 0, 1
     sign = -1 if n < 0 else 1
     n = abs(n)
     d, k = 1, 1
-    for p in _PRIMES_FIRST:
+    p = 2
+    while p <= _TRIAL_BOUND and p * p <= n:
         e = 0
         while n % p == 0:
             n //= p
@@ -400,17 +408,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         k *= p ** (e // 2)
         if e % 2:
             d *= p
-    p = _PRIMES_FIRST[-1] + 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        k *= p ** (e // 2)
-        if e % 2:
-            d *= p
-        p += 2
-    # leftover n is 1 or a prime
+        p += 1 if p == 2 else 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return sign * d, k * r
     return sign * d * n, k
 
 

@@ -187,3 +187,5 @@ def load_json(path: str):
     except RecursionError:
         raise ParseError(f"{path} nests JSON arrays or objects too deeply") \
             from None
+    except ValueError as exc:  # e.g. an integer past the int-string limit
+        raise ParseError(f"{path} is not readable JSON: {exc}") from None

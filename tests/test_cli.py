@@ -3,6 +3,8 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +59,8 @@ def run_exit(capsys, argv, parse=main):
 _PINNED = json.loads(
     (Path(__file__).parent / "cli_bytes.json").read_text(encoding="utf-8"))
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _case_id(case):
     return " ".join(case["argv"]) or "no-arguments"
@@ -109,14 +113,31 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 1 and "error" in err
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
-                             ids=["not_utf8", "deep_nesting"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 100_000,
+        b'{"matrix": [[' + b"7" * 5000 + b', 0], [0, 1], [0, 1], [0, 0]]}',
+    ], ids=["not_utf8", "deep_nesting", "huge_int"])
     def test_hostile_file_exit_1(self, capsys, tmp_path, content):
         path = tmp_path / "hostile.json"
         path.write_bytes(content)
         code, out, err = run(capsys, "classify", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_large_prime_discriminant_does_not_hang(self, tmp_path):
+        # e2*e2 = P e1 with e1 the identity needs sqrt(P); a separate
+        # process with a timeout fails the test instead of hanging it
+        p = 2**61 - 1
+        path = tmp_path / "mersenne.json"
+        path.write_text(json.dumps(
+            {"matrix": [["1", "0"], ["0", "1"], ["0", "1"], [str(p), "0"]]}))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "assoc2.cli", "classify", str(path)],
+            capture_output=True, text=True, env=env, timeout=10, check=False)
+        assert done.returncode == 0, done.stderr
+        assert "label: beta2\n" in done.stdout
+        assert f"witness_ext: {p}\n" in done.stdout
 
     def test_float_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"
@@ -261,9 +282,11 @@ class TestContractCommand:
                        [{"num": [], "den": ["1"]},
                         {"num": ["1"], "den": ["0", "1"]}]],
         }))
-        code, _, err = run(capsys, "contract", "--builtin", "beta2",
-                           str(path))
-        assert code == 3 and "pole" in err
+        code, out, err = run(capsys, "contract", "--builtin", "beta2",
+                             str(path))
+        assert code == 3 and out == ""
+        assert err == ("error: transported entry (2,2,1) = (1)/(t^2) has a "
+                       "pole at t = 0\n")
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_singular_family_exit_1(self, capsys, tmp_path, as_json):
@@ -443,8 +466,18 @@ class TestWorkPerRequest:
         monkeypatch.setattr(classify_mod, "_check_witness",
                             counting("check_witness",
                                      classify_mod._check_witness))
-        monkeypatch.setattr(deformation, "TangentSpace",
-                            counting("TangentSpace", deformation.TangentSpace))
+        monkeypatch.setattr(deformation, "_tangent_rows",
+                            counting("tangent_rows", deformation._tangent_rows))
+        monkeypatch.setattr(Algebra, "derived_dim",
+                            counting("derived_dim", Algebra.derived_dim))
+        change_basis = Algebra.change_basis
+
+        def counting_change_basis(alg, g):
+            if isinstance(alg.scalar_zero, scalars.RationalFunction):
+                counts["change_basis_qt"] = counts.get("change_basis_qt", 0) + 1
+            return change_basis(alg, g)
+
+        monkeypatch.setattr(Algebra, "change_basis", counting_change_basis)
         monkeypatch.setattr(deformation, "circle_product",
                             counting("circle_product",
                                      deformation.circle_product))
@@ -483,6 +516,7 @@ class TestWorkPerRequest:
         assert code == 0
         assert calls.get("identity_element", 0) <= 1
         assert calls.get("nontrivial_idempotent2", 0) <= 1
+        assert calls.get("derived_dim", 0) <= 1
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--builtin", "abelian"],
@@ -525,7 +559,14 @@ class TestWorkPerRequest:
     def test_orbit_dim(self, capsys, calls):
         code, _, _ = run(capsys, "orbit-dim", "--builtin", "beta4")
         assert code == 0
-        assert calls["TangentSpace"] == 1
+        assert calls["tangent_rows"] == 1
+
+    def test_contract_transports_once(self, capsys, calls,
+                                      scaling_family_file):
+        code, _, _ = run(capsys, "contract", "--builtin", "beta2",
+                         scaling_family_file)
+        assert code == 0
+        assert calls["change_basis_qt"] == 1
 
     def test_decompose(self, capsys, calls):
         code, _, _ = run(capsys, "decompose", "--builtin", "beta6")
