@@ -298,18 +298,8 @@ class Algebra:
 
     def associativity_residuals(self) -> list:
         """Coordinates of (e_i e_j) e_k - e_i (e_j e_k), lexicographic in
-        (i, j, k, l)."""
-        n = self.dim
-        c = self.constants
-        out = []
-        for i in range(n):
-            for j in range(n):
-                left = c[i][j]
-                for k in range(n):
-                    lhs = self._times_basis(left, k)
-                    rhs = self._basis_times(i, c[j][k])
-                    out.extend(a - b for a, b in zip(lhs, rhs))
-        return out
+        (i, j, k, l): the mixed associator A(self, self)."""
+        return mixed_associator(self, self)
 
     def is_associative(self) -> bool:
         return all(not r for r in self.associativity_residuals())
@@ -507,6 +497,43 @@ class Algebra:
             if len(current) >= seen_dim:
                 return False
             seen_dim = len(current)
+
+
+def _nonzero(law: Algebra) -> list:
+    """(m, x) for each nonzero coordinate x of each product e_i e_j."""
+    return [[[(m, x) for m, x in enumerate(vec) if x] for vec in row]
+            for row in law.constants]
+
+
+def mixed_associator(b1: Algebra, b2: Algebra) -> list:
+    """A(b1, b2): coordinates of b1(b2(e_i, e_j), e_k) - b1(e_i, b2(e_j, e_k)),
+    lexicographic in (i, j, k, l), over b1's scalars. Entry (i, j, k, l) is
+
+        sum_m c2[i][j][m] c1[m][k][l] - sum_m c2[j][k][m] c1[i][m][l].
+
+    The one associator kernel: A(b, b) is the associator of b and the
+    circle product is b1 o b2 = A(b1, b2) + A(b2, b1).
+    """
+    if b1.dim != b2.dim:
+        raise DimensionMismatch("laws live on different spaces")
+    n = b1.dim
+    zero = b1.scalar_zero
+    factors = _nonzero(b2)
+    terms = factors if b2 is b1 else _nonzero(b1)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            left = factors[i][j]
+            for k in range(n):
+                acc = [zero] * n
+                for m, w in left:
+                    for l, x in terms[m][k]:
+                        acc[l] = acc[l] + w * x
+                for m, w in factors[j][k]:
+                    for l, x in terms[i][m]:
+                        acc[l] = acc[l] - w * x
+                out.extend(acc)
+    return out
 
 
 # -- closed-form quadratic analysis in dimension 2 ---------------------------

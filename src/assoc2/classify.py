@@ -130,10 +130,12 @@ class Fingerprint:
     nilpotent: bool
     has_nontrivial_idempotent: bool
     has_square_zero: bool
-    # the solves behind ``unital`` and ``has_nontrivial_idempotent``, which
-    # witness_for reuses; not invariants, so left out of == and repr
+    # the solves witness_for reuses (identity, idempotent, annihilators);
+    # not invariants, so left out of == and repr
     _unital: tuple | None = field(default=None, compare=False, repr=False)
     _idempotent: object = field(default=None, compare=False, repr=False)
+    _left_ann: tuple = field(default=(), compare=False, repr=False)
+    _right_ann: tuple = field(default=(), compare=False, repr=False)
 
 
 def fingerprint(alg: Algebra) -> Fingerprint:
@@ -142,10 +144,11 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     alg.require_associative("fingerprint needs an associative law")
     unital = unital_square_discriminant(alg)
     idempotent = nontrivial_idempotent2(alg, unital)
+    left_ann, right_ann = alg.left_annihilator(), alg.right_annihilator()
     return Fingerprint(
         commutative=alg.is_commutative(),
-        left_ann_dim=len(alg.left_annihilator()),
-        right_ann_dim=len(alg.right_annihilator()),
+        left_ann_dim=len(left_ann),
+        right_ann_dim=len(right_ann),
         derived_dim=alg.derived_dim(),
         unital=unital is not None,
         nilpotent=alg.is_nilpotent(),
@@ -153,6 +156,8 @@ def fingerprint(alg: Algebra) -> Fingerprint:
         has_square_zero=square_zero2(alg) is not None,
         _unital=unital,
         _idempotent=idempotent,
+        _left_ann=left_ann,
+        _right_ann=right_ann,
     )
 
 
@@ -373,8 +378,7 @@ def witness_for(alg: Algebra, fp: Fingerprint) -> LinearMap:
                 col1 = [_quad_promote(x, d) for x in u]
                 witness = _columns_to_map(col1, col2)
     elif label is ClassLabel.B4:
-        ann = alg.left_annihilator()[0]
-        witness = _columns_to_map(list(ann), list(fp._idempotent))
+        witness = _columns_to_map(list(fp._left_ann[0]), list(fp._idempotent))
     elif label is ClassLabel.B5:
         for cand in (alg.basis_element(1), alg.basis_element(2),
                      alg.basis_element(1) + alg.basis_element(2)):
@@ -385,9 +389,7 @@ def witness_for(alg: Algebra, fp: Fingerprint) -> LinearMap:
         else:
             raise UnclassifiableFingerprint("B5 law with no usable generator")
     elif label in (ClassLabel.B6, ClassLabel.B7):
-        side = alg.left_annihilator() if label is ClassLabel.B6 \
-            else alg.right_annihilator()
-        v = side[0]
+        v = fp._left_ann[0] if label is ClassLabel.B6 else fp._right_ann[0]
         f = fp._idempotent
         acts = alg.multiply(f, v) if label is ClassLabel.B6 \
             else alg.multiply(v, f)

@@ -3,9 +3,9 @@
 Commands: classify, decompose, orbit-dim, cohomology, perturb, contract,
 graph. Algebra inputs come from JSON files or from --builtin NAME with
 NAME one of beta1..beta7, abelian, phi1..phi6. Exit codes: 0 ok, 1 on
-IO/parse errors, 2 when an input law is not associative where it must be
-(argparse usage errors also exit 2), 3 when a contraction limit does not
-exist (pole at t = 0).
+IO/parse errors or inputs of different sizes, 2 when an input law is not
+associative where it must be (argparse usage errors also exit 2), 3 when
+a contraction limit does not exist (pole at t = 0).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Algebra, NotAssociative
+from .algebra import Algebra, DimensionMismatch, NotAssociative
 from .classify import (
     ClassLabel,
     canonical_algebra,
@@ -34,7 +34,8 @@ from .contraction import (
     search_families,
     transport,
 )
-from .deformation import cohomology2, orbit_dim, perturbation_residual
+from .deformation import cohomology2, orbit_dim, perturbation_residual, \
+    tangent_rank
 from .scalars import PoleAtZero
 from . import serialize
 from .serialize import ParseError
@@ -94,7 +95,7 @@ def cmd_classify(args):
     fp = fingerprint(alg)
     label = classify_fingerprint(fp)
     witness = witness_for(alg, fp)
-    dim_orbit = orbit_dim(alg)
+    dim_orbit = tangent_rank(alg)  # fingerprint checked associativity
     wit = serialize.witness_to_json(witness)
     text = [f"label: {label.value}", f"orbit_dim: {dim_orbit}"]
     fp_fields = {
@@ -244,9 +245,9 @@ def cmd_contract(args):
         "limit": serialize.algebra_to_json(limit),
     }
     if alg.dim == 2 and alg.is_associative():
-        label = classify(limit)
-        source_dim = orbit_dim(alg)
-        limit_dim = orbit_dim(limit)
+        label = classify(limit)  # checks that the limit is associative
+        source_dim = tangent_rank(alg)
+        limit_dim = tangent_rank(limit)
         drop = source_dim > limit_dim
         text.append(f"limit_label: {label.value}")
         text.append(f"orbit_dim: {source_dim} -> {limit_dim}")
@@ -391,7 +392,7 @@ def main(argv=None) -> int:
             return 2
         code = 2
         text_lines, payload = _not_associative_report(exc)
-    except ParseError as exc:
+    except (ParseError, DimensionMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except PoleAtZero as exc:

@@ -3,67 +3,61 @@
 The operator conventions, stated by content:
 
 * coboundary       d_beta f (x,y) = beta(f x, y) + beta(x, f y) - f(beta(x,y))
-* circle product   b1 o b2 (x,y,z) = b1(b2(x,y),z) - b1(x,b2(y,z))
-                                    + b2(b1(x,y),z) - b2(x,b1(y,z))
+* mixed associator A(b1, b2)(x,y,z) = b1(b2(x,y),z) - b1(x,b2(y,z))
+* circle product   b1 o b2 = A(b1, b2) + A(b2, b1)
 * cocycle operator d2_beta phi = (1/2)(beta o phi + phi o beta) = beta o phi
 
-The circle product is symmetric, a law beta is associative exactly when
-beta o beta = 0, and the cocycle operator is its linearization at beta, so
-the residual of a perturbed law beta + xi is literally
-(beta + xi) o (beta + xi) = 2 d2_beta xi + xi o xi. Since b o b is twice
-the associator b(b(x,y),z) - b(x,b(y,z)) of b, the residual is computed as
-twice the associator of beta + xi.
+Every associator is the one kernel ``algebra.mixed_associator``; b o b =
+2 A(b, b) vanishes iff b is associative. A is bilinear, so with mono_m =
+e1...em and xi = sum_m mono_m phi_m, the residual at an associative beta
+splits by degree in eps (Gerstenhaber's cocycle and obstruction terms):
+
+    (beta + xi) o (beta + xi) = sum_m mono_m 2 (beta o phi_m)
+        + sum_m mono_m^2 (phi_m o phi_m)
+        + sum_{m<q} mono_m mono_q 2 (phi_m o phi_q).
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import linalg
-from .algebra import Algebra, DimensionMismatch, LinearMap
+from .algebra import Algebra, DimensionMismatch, LinearMap, mixed_associator
 from .scalars import EpsPolynomial
 
 
 class TrilinearMap:
-    """Trilinear map as the tensor T[i][j][k][l] (inputs i,j,k; output l)."""
+    """Trilinear map as the tensor T[i][j][k][l] (inputs i,j,k; output l),
+    built from its n^4 entries in lexicographic (i, j, k, l) order."""
 
     __slots__ = ("dim", "tensor")
 
-    def __init__(self, dim: int, tensor):
-        tensor = tuple(
-            tuple(tuple(tuple(vec) for vec in row) for row in plane)
-            for plane in tensor
-        )
-        if len(tensor) != dim or any(
-            len(plane) != dim or any(
-                len(row) != dim or any(len(vec) != dim for vec in row)
-                for row in plane
-            )
-            for plane in tensor
-        ):
+    def __init__(self, dim: int, values):
+        values = tuple(values)
+        if len(values) != dim**4:
             raise DimensionMismatch("trilinear tensor shape mismatch")
+        it = iter(values)
+        tensor = tuple(tuple(tuple(tuple(next(it) for _ in range(dim))
+                                   for _ in range(dim)) for _ in range(dim))
+                       for _ in range(dim))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "tensor", tensor)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrilinearMap is immutable")
 
+    def _flat(self):
+        return (x for plane in self.tensor for row in plane for vec in row
+                for x in vec)
+
     def is_zero(self) -> bool:
-        return all(
-            not x
-            for plane in self.tensor for row in plane for vec in row for x in vec
-        )
+        return not any(self._flat())
 
     def nonzero_entries(self):
         """List of ((i, j, k, l), value) with 1-based indices."""
-        out = []
         n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        x = self.tensor[i][j][k][l]
-                        if x:
-                            out.append(((i + 1, j + 1, k + 1, l + 1), x))
-        return out
+        return [(index, x) for index, x in
+                zip(product(range(1, n + 1), repeat=4), self._flat()) if x]
 
     def __eq__(self, other):
         if isinstance(other, TrilinearMap):
@@ -129,36 +123,30 @@ def _tangent_rows(beta: Algebra) -> list:
     return rows
 
 
+def tangent_rank(beta: Algebra) -> int:
+    """orbit_dim of a law the caller has already checked is associative."""
+    return linalg.rank(_tangent_rows(beta))
+
+
 def orbit_dim(beta: Algebra) -> int:
     """Dimension of the isomorphism orbit = rank of the tangent matrix."""
     beta.require_associative("tangent spaces are taken at associative laws")
-    return linalg.rank(_tangent_rows(beta))
+    return tangent_rank(beta)
 
 
 def stabilizer_dim(beta: Algebra) -> int:
     return beta.dim * beta.dim - orbit_dim(beta)
 
 
+def _circle(b1: Algebra, b2: Algebra) -> list:
+    """b1 o b2 = A(b1, b2) + A(b2, b1), flattened in (i, j, k, l)."""
+    return [a + b for a, b in zip(mixed_associator(b1, b2),
+                                  mixed_associator(b2, b1))]
+
+
 def circle_product(b1: Algebra, b2: Algebra) -> TrilinearMap:
     """Symmetric trilinear pairing; b o b vanishes iff b is associative."""
-    if b1.dim != b2.dim:
-        raise DimensionMismatch("laws live on different spaces")
-    n = b1.dim
-    c1, c2 = b1.constants, b2.constants
-    tensor = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                t1 = b1._times_basis(c2[i][j], k)
-                t2 = b1._basis_times(i, c2[j][k])
-                t3 = b2._times_basis(c1[i][j], k)
-                t4 = b2._basis_times(i, c1[j][k])
-                row.append([a - b + c - d for a, b, c, d in zip(t1, t2, t3, t4)])
-            plane.append(row)
-        tensor.append(plane)
-    return TrilinearMap(n, tensor)
+    return TrilinearMap(b1.dim, _circle(b1, b2))
 
 
 def cocycle_operator(beta: Algebra, phi: Algebra) -> TrilinearMap:
@@ -218,7 +206,7 @@ def cohomology2(beta: Algebra) -> tuple[int, int, int]:
     """
     beta.require_associative("cohomology is computed at associative laws")
     z2 = beta.dim**3 - linalg.rank(_cocycle_rows(beta))
-    b2 = linalg.rank(_tangent_rows(beta))
+    b2 = tangent_rank(beta)
     return z2, b2, z2 - b2
 
 
@@ -226,7 +214,8 @@ class Perturbation:
     """A law base + e1 phi1 + e1 e2 phi2 + ... + e1...ep phip.
 
     The directions must be linearly independent bilinear maps; the
-    parameters e1..ep stay formal (EpsPolynomial coefficients).
+    parameters e1..ep stay formal: ``perturbation_residual`` answers in
+    eps-polynomials.
     """
 
     __slots__ = ("base", "directions")
@@ -251,49 +240,30 @@ class Perturbation:
     def nparams(self) -> int:
         return len(self.directions)
 
-    def infinitesimal_part(self) -> Algebra:
-        """xi = e1 phi1 + e1 e2 phi2 + ... as an eps-polynomial tensor."""
-        n = self.base.dim
-        p = self.nparams
-        zero = EpsPolynomial(p, {})
-        tensor = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for idx, phi in enumerate(self.directions, start=1):
-            exps = tuple(1 if v < idx else 0 for v in range(p))
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        c = phi.constants[i][j][k]
-                        if c:
-                            tensor[i][j][k] = tensor[i][j][k] + \
-                                EpsPolynomial(p, {exps: c})
-        return Algebra(n, tensor)
-
-    def law(self) -> Algebra:
-        """base + xi over eps-polynomial scalars."""
-        xi = self.infinitesimal_part()
-        p = self.nparams
-        return Algebra(self.base.dim, [
-            [[EpsPolynomial.const(self.base.constants[i][j][k], p) +
-              xi.constants[i][j][k]
-              for k in range(self.base.dim)]
-             for j in range(self.base.dim)]
-            for i in range(self.base.dim)
-        ])
-
 
 def perturbation_residual(pert: Perturbation) -> TrilinearMap:
-    """(base + xi) o (base + xi) as eps-polynomials; zero iff the perturbed
-    law is associative for every parameter value.
+    """(base + xi) o (base + xi), twice the associator of base + xi, as
+    eps-polynomials in the (i, j, k, l) order of ``associativity_residuals``;
+    zero iff the perturbed law is associative for every parameter value.
 
-    Since b o b = 2 assoc(b) for every law b, this is twice the associator
-    of base + xi, in the (i, j, k, l) order of ``associativity_residuals``.
-    The circle product is symmetric and bilinear and base o base = 0, so it
-    equals 2 d2_base xi + xi o xi.
+    With base o base = 0 (checked first) it is sum_m mono_m 2 (base o phi_m)
+    + sum_m mono_m^2 (phi_m o phi_m) + sum_{m<q} mono_m mono_q 2 (phi_m o
+    phi_q). No two monomials are equal (the linear ones have e1-exponent 1,
+    the quadratic ones 2), so each coefficient is one circle product over
+    the rationals and each entry is built once, with no eps-arithmetic.
     """
-    pert.base.require_associative(
-        "perturbation residuals need an associative base")
-    n = pert.base.dim
-    res = iter(pert.law().associativity_residuals())
-    return TrilinearMap(n, [[[[2 * next(res) for _ in range(n)]
-                              for _ in range(n)] for _ in range(n)]
-                            for _ in range(n)])
+    base = pert.base
+    base.require_associative("perturbation residuals need an associative base")
+    n, p, phis = base.dim, pert.nparams, pert.directions
+    graded = {}  # exponent tuple -> its coefficients, flat in (i, j, k, l)
+    for m, phi in enumerate(phis, start=1):
+        rest = (0,) * (p - m)
+        graded[(1,) * m + rest] = [2 * x for x in _circle(base, phi)]
+        graded[(2,) * m + rest] = [2 * x for x in mixed_associator(phi, phi)]
+        for q in range(m + 1, p + 1):
+            graded[(2,) * m + (1,) * (q - m) + (0,) * (p - q)] = \
+                [2 * x for x in _circle(phi, phis[q - 1])]
+    return TrilinearMap(n, [
+        EpsPolynomial(p, {mono: c[t] for mono, c in graded.items() if c[t]})
+        for t in range(n**4)
+    ])

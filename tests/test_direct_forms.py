@@ -16,6 +16,9 @@ from assoc2 import (
     LinearMap,
     NotAssociative,
     Perturbation,
+    Polynomial,
+    QuadExt,
+    RationalFunction,
     canonical_algebra,
     circle_product,
     coboundary,
@@ -23,14 +26,20 @@ from assoc2 import (
     linalg,
     perturbation_residual,
 )
+from assoc2.algebra import mixed_associator
 from assoc2.deformation import _cocycle_rows, _tangent_rows
-from util import direct_sum, eps_substitute
+from util import (
+    direct_sum,
+    eps_substitute,
+    infinitesimal_part,
+    perturbation_law,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
-def free_laws(dim):
-    return st.lists(rationals, min_size=dim**3, max_size=dim**3).map(
+def free_laws(dim, entries=rationals):
+    return st.lists(entries, min_size=dim**3, max_size=dim**3).map(
         lambda xs: Algebra(dim, [[xs[dim * (dim * i + j):dim * (dim * i + j) + dim]
                                   for j in range(dim)] for i in range(dim)]))
 
@@ -107,6 +116,31 @@ def flat4(tri):
             for x in vec]
 
 
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# entries over Q(t), Q(sqrt 2) and eps-polynomials in two parameters
+OTHER_SCALARS = {
+    "Q(t)": st.builds(
+        lambda num, den: RationalFunction(Polynomial(num), Polynomial(den)),
+        st.lists(small, max_size=2),
+        st.lists(small, min_size=1, max_size=2).filter(any)),
+    "QuadExt": st.builds(lambda a, b: QuadExt(a, b, 2), small, small),
+    "EpsPolynomial": st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), small,
+        max_size=3).map(lambda terms: EpsPolynomial(2, terms)),
+}
+
+
+def associator_reference(b1, b2):
+    """sum_m c2[i][j][m] c1[m][k][l] - sum_m c2[j][k][m] c1[i][m][l], each
+    sum taken in full from the zero of b1's scalars."""
+    n = b1.dim
+    c1, c2 = b1.constants, b2.constants
+    zero = b1.scalar_zero
+    return [sum((c2[i][j][m] * c1[m][k][l] for m in range(n)), zero)
+            - sum((c2[j][k][m] * c1[i][m][l] for m in range(n)), zero)
+            for i, j, k, l in product(range(n), repeat=4)]
+
+
 class TestIdentities:
     @settings(max_examples=60, deadline=None)
     @given(alg=any_laws)
@@ -118,6 +152,18 @@ class TestIdentities:
                     expected.extend(alg.multiply(alg.multiply(x, y), z)
                                     - alg.multiply(x, alg.multiply(y, z)))
         assert alg.associativity_residuals() == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(OTHER_SCALARS)),
+           dim=st.integers(2, 3), data=st.data())
+    def test_kernel_matches_direct_sums_over_other_scalars(self, kind, dim,
+                                                           data):
+        b1, b2 = (data.draw(free_laws(dim, OTHER_SCALARS[kind]))
+                  for _ in range(2))
+        residuals = b1.associativity_residuals()
+        assert residuals == associator_reference(b1, b1)
+        assert {type(x) for x in residuals} == {type(b1.scalar_zero)}
+        assert mixed_associator(b1, b2) == associator_reference(b1, b2)
 
     @settings(max_examples=50, deadline=None)
     @given(alg=any_laws)
@@ -213,10 +259,31 @@ class TestPerturbationResidual:
                                         max_size=count))
         assume(linalg.rank([flat(d) for d in directions]) == count)
         pert = Perturbation(base, directions)
-        xi = pert.infinitesimal_part()
+        xi = infinitesimal_part(pert)
         lifted = base.map_scalars(lambda c: EpsPolynomial.const(c, count))
         expected = [2 * a + b for a, b in zip(flat4(circle_product(lifted, xi)),
                                               flat4(circle_product(xi, xi)))]
+        assert flat4(perturbation_residual(pert)) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(base=associative_laws, data=st.data())
+    def test_graded_residual_is_twice_oracle_associator(self, base, data):
+        # reference: 2 ((x y) z - x (y z)) on basis elements of base + xi,
+        # multiplied out in eps-polynomial arithmetic
+        n = base.dim
+        count = data.draw(st.integers(1, 3))
+        directions = data.draw(st.lists(free_laws(n), min_size=count,
+                                        max_size=count))
+        assume(linalg.rank([flat(d) for d in directions]) == count)
+        pert = Perturbation(base, directions)
+        law = perturbation_law(pert)
+        expected = []
+        for x in basis(law):
+            for y in basis(law):
+                for z in basis(law):
+                    expected.extend(
+                        2 * v for v in law.multiply(law.multiply(x, y), z)
+                        - law.multiply(x, law.multiply(y, z)))
         assert flat4(perturbation_residual(pert)) == expected
 
     @settings(max_examples=25, deadline=None)

@@ -70,6 +70,37 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(total, tensor)
 
 
+def infinitesimal_part(pert) -> Algebra:
+    """xi = e1 phi1 + e1 e2 phi2 + ... of a Perturbation, as an
+    eps-polynomial tensor."""
+    n = pert.base.dim
+    p = pert.nparams
+    zero = EpsPolynomial(p, {})
+    tensor = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for idx, phi in enumerate(pert.directions, start=1):
+        exps = tuple(1 if v < idx else 0 for v in range(p))
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    c = phi.constants[i][j][k]
+                    if c:
+                        tensor[i][j][k] = tensor[i][j][k] + \
+                            EpsPolynomial(p, {exps: c})
+    return Algebra(n, tensor)
+
+
+def perturbation_law(pert) -> Algebra:
+    """base + xi over eps-polynomial scalars: the reference that
+    ``perturbation_residual`` is checked against in eps-arithmetic."""
+    xi = infinitesimal_part(pert)
+    n, p = pert.base.dim, pert.nparams
+    return Algebra(n, [
+        [[EpsPolynomial.const(pert.base.constants[i][j][k], p) +
+          xi.constants[i][j][k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ])
+
+
 def eps_substitute(p: EpsPolynomial, values) -> Fraction:
     """Evaluate p at exact rational parameter values."""
     if len(values) != p.nvars:
