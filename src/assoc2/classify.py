@@ -9,10 +9,10 @@ when possible and over a tagged quadratic extension otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
     HALF,
@@ -138,36 +138,56 @@ class Fingerprint:
     _right_ann: tuple = field(default=(), compare=False, repr=False)
 
 
+class _Invariants:
+    """The fields of a law's Fingerprint, each computed on first read."""
+
+    def __init__(self, alg: Algebra):
+        if alg.dim != 2:
+            raise ValueError("fingerprints are defined for dimension 2")
+        alg.require_associative("fingerprint needs an associative law")
+        self.alg = alg
+
+    commutative = cached_property(lambda self: self.alg.is_commutative())
+    _left_ann = cached_property(lambda self: self.alg.left_annihilator())
+    left_ann_dim = cached_property(lambda self: len(self._left_ann))
+    _right_ann = cached_property(lambda self: self.alg.right_annihilator())
+    right_ann_dim = cached_property(lambda self: len(self._right_ann))
+    derived_dim = cached_property(lambda self: self.alg.derived_dim())
+    _unital = cached_property(
+        lambda self: unital_square_discriminant(self.alg))
+    unital = cached_property(lambda self: self._unital is not None)
+    nilpotent = cached_property(lambda self: self.alg.is_nilpotent())
+    # the idempotent reuses the identity solve
+    _idempotent = cached_property(
+        lambda self: nontrivial_idempotent2(self.alg, self._unital))
+    has_nontrivial_idempotent = cached_property(
+        lambda self: self._idempotent is not None)
+    has_square_zero = cached_property(
+        lambda self: square_zero2(self.alg) is not None)
+
+
 def fingerprint(alg: Algebra) -> Fingerprint:
-    if alg.dim != 2:
-        raise ValueError("fingerprints are defined for dimension 2")
-    alg.require_associative("fingerprint needs an associative law")
-    unital = unital_square_discriminant(alg)
-    idempotent = nontrivial_idempotent2(alg, unital)
-    left_ann, right_ann = alg.left_annihilator(), alg.right_annihilator()
-    return Fingerprint(
-        commutative=alg.is_commutative(),
-        left_ann_dim=len(left_ann),
-        right_ann_dim=len(right_ann),
-        derived_dim=alg.derived_dim(),
-        unital=unital is not None,
-        nilpotent=alg.is_nilpotent(),
-        has_nontrivial_idempotent=idempotent is not None,
-        has_square_zero=square_zero2(alg) is not None,
-        _unital=unital,
-        _idempotent=idempotent,
-        _left_ann=left_ann,
-        _right_ann=right_ann,
-    )
+    """All eight invariants of a 2-dimensional associative law, for the
+    report; ``classify`` computes only those its decision path reads."""
+    invariants = _Invariants(alg)
+    return Fingerprint(**{f.name: getattr(invariants, f.name)
+                          for f in fields(Fingerprint)})
 
 
 def classify(alg: Algebra) -> ClassLabel:
-    """Isomorphism class of a 2-dimensional associative law."""
-    return classify_fingerprint(fingerprint(alg))
+    """Isomorphism class of a 2-dimensional associative law.
+
+    Runs ``classify_fingerprint`` on a lazy view of the fingerprint, so each
+    invariant is computed on first use and the branches not taken cost
+    nothing.
+    """
+    return classify_fingerprint(_Invariants(alg))
 
 
 def classify_fingerprint(fp: Fingerprint) -> ClassLabel:
-    """Decision table over the fingerprint; total on associative input."""
+    """The decision table, the one map from invariants to labels; total on
+    associative input. ``fp`` is a Fingerprint or ``classify``'s lazy view
+    with the same fields; the table reads at most five of them."""
     if fp.derived_dim == 0:
         return ClassLabel.ABELIAN
     if not fp.commutative:
@@ -175,7 +195,9 @@ def classify_fingerprint(fp: Fingerprint) -> ClassLabel:
             return ClassLabel.B6
         if fp.right_ann_dim == 1:
             return ClassLabel.B7
-        raise UnclassifiableFingerprint(f"noncommutative with {fp}")
+        raise UnclassifiableFingerprint(
+            f"noncommutative with annihilator dimensions "
+            f"{fp.left_ann_dim}, {fp.right_ann_dim}")
     if not fp.unital:
         return ClassLabel.B5 if fp.nilpotent else ClassLabel.B4
     if fp.has_square_zero:
@@ -193,7 +215,8 @@ def jordan_classify2(alg: Algebra) -> ClassLabel:
         raise NotJordan("a Jordan law is symmetric")
     if not alg.is_jordan():
         raise NotJordan("law fails the Jordan identity")
-    if alg.derived_dim() == 0:
+    derived = alg.derived_dim()
+    if derived == 0:
         return ClassLabel.JABELIAN
     unital = unital_square_discriminant(alg)
     if unital is not None:
@@ -202,7 +225,7 @@ def jordan_classify2(alg: Algebra) -> ClassLabel:
         if nontrivial_idempotent2(alg, unital) is not None:
             return ClassLabel.PHI2
         return ClassLabel.PHI1
-    if alg.derived_dim() == 1:
+    if derived == 1:
         return ClassLabel.PHI5 if alg.is_nilpotent() else ClassLabel.PHI4
     # non-unital with full derived space: the half-identity class. Confirm
     # via the spectrum {1, 1/2} of left multiplication at an idempotent.

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +19,17 @@ from assoc2 import (
     associated_jordan_label,
     canonical_algebra,
     classify,
+    cohomology2,
     fingerprint,
     isomorphism_witness,
     jordan_classify2,
     label_from_string,
     lie_part_coefficients,
+    orbit_dim,
 )
-from util import rand_invertible, random_associative2
+from assoc2.classify import classify_fingerprint
+from assoc2.contraction import _diagonal_limit, _template_transforms
+from util import fuzz_laws2, rand_invertible, random_associative2
 
 NONASSOC = Algebra.from_products(2, {(1, 1): (0, 1), (1, 2): (1, 0)})
 
@@ -130,6 +135,72 @@ class TestClassify:
         for _ in range(150):
             label, alg = random_associative2(rng)
             assert classify(alg) == label  # never UnclassifiableFingerprint
+
+
+def _full_table(alg):
+    return classify_fingerprint(fingerprint(alg))
+
+
+def _outcome(fn, alg):
+    """fn(alg), or the type, message and residual of the ValueError (such
+    as NotAssociative) that it raises."""
+    try:
+        return fn(alg)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+
+
+class TestLazyClassify:
+    """classify evaluates the decision table on invariants computed on first
+    use; it must answer, and fail, as the table on the full fingerprint."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=laws_in_class())
+    def test_rational_basis_changes(self, case):
+        label, alg = case
+        assert classify(alg) == _full_table(alg) == label
+
+    def test_every_search_limit(self):
+        # every limit the search can meet at bound 4
+        seen = set()
+        for source in ASSOCIATIVE_LABELS:
+            for g in _template_transforms():
+                moved = canonical_algebra(source).change_basis(LinearMap(g))
+                for a, b in product(range(5), repeat=2):
+                    limit = _diagonal_limit(moved, a, b)
+                    if limit is not None:
+                        seen.add(classify(limit))
+                        assert classify(limit) == _full_table(limit)
+        assert seen == set(ASSOCIATIVE_LABELS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alg=fuzz_laws2)
+    def test_errors_match(self, alg):
+        assert _outcome(classify, alg) == _outcome(_full_table, alg)
+
+    def test_dimension_3(self):
+        nonassoc3 = Algebra.from_products(3, {(1, 1): (0, 1, 0),
+                                              (1, 2): (1, 0, 0)})
+        for alg in (Algebra.zero(3), nonassoc3):
+            got = _outcome(classify, alg)
+            assert got[0] is ValueError
+            assert got == _outcome(_full_table, alg)
+
+
+class TestLibraryFuzz:
+    """Generated dimension-2 laws, associative or not, make the library
+    entry points raise nothing but NotAssociative or NotJordan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alg=fuzz_laws2)
+    def test_only_documented_errors(self, alg):
+        for call in (classify, fingerprint, isomorphism_witness, orbit_dim,
+                     cohomology2,
+                     lambda law: jordan_classify2(law.jordan_part())):
+            try:
+                call(alg)
+            except (NotAssociative, NotJordan):
+                pass
 
 
 class TestWitness:

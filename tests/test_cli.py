@@ -18,15 +18,15 @@ from assoc2 import (
     ClassLabel,
     ContractionFamily,
     IdenticallySingular,
-    LinearMap,
     Perturbation,
     Polynomial,
     RationalFunction,
     canonical_algebra,
+    classify,
 )
 from assoc2.cli import build_parser, main
 from assoc2 import serialize
-from util import direct_sum
+from util import direct_sum, fuzz_laws2
 
 
 @pytest.fixture()
@@ -476,7 +476,8 @@ class TestWorkPerRequest:
     def calls(self, monkeypatch):
         # the package re-exports the function classify under the module name
         classify_mod = importlib.import_module("assoc2.classify")
-        from assoc2 import algebra, cli, contraction, deformation, scalars
+        from assoc2 import (algebra, cli, contraction, deformation, linalg,
+                            scalars)
         counts = {}
 
         def counting(name, fn):
@@ -485,7 +486,7 @@ class TestWorkPerRequest:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("associativity_residuals", "is_jordan",
+        for name in ("associativity_residuals", "is_jordan", "is_nilpotent",
                      "left_annihilator", "right_annihilator"):
             monkeypatch.setattr(Algebra, name,
                                 counting(name, getattr(Algebra, name)))
@@ -495,6 +496,8 @@ class TestWorkPerRequest:
         monkeypatch.setattr(classify_mod, "_check_witness",
                             counting("check_witness",
                                      classify_mod._check_witness))
+        monkeypatch.setattr(linalg, "kernel_basis",
+                            counting("kernel_basis", linalg.kernel_basis))
         monkeypatch.setattr(deformation, "_tangent_rows",
                             counting("tangent_rows", deformation._tangent_rows))
         monkeypatch.setattr(Algebra, "derived_dim",
@@ -552,6 +555,20 @@ class TestWorkPerRequest:
         assert calls.get("left_annihilator", 0) <= 1
         assert calls.get("right_annihilator", 0) <= 1
 
+    @pytest.mark.parametrize("label,skipped", [
+        ("abelian", ("kernel_basis", "identity_element")),
+        ("beta6", ("identity_element", "is_nilpotent")),
+        ("beta7", ("identity_element", "is_nilpotent")),
+    ] + [(f"beta{i}", ("is_nilpotent", "left_annihilator",
+                       "right_annihilator")) for i in (1, 2, 3)])
+    def test_library_classify_skips_other_branches(self, calls, label,
+                                                   skipped):
+        # classify computes only the invariants its decision path reads
+        law = canonical_algebra(ClassLabel(label))
+        assert classify(law) is ClassLabel(label)
+        assert {name: calls.get(name, 0) for name in skipped} == \
+            dict.fromkeys(skipped, 0)
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--builtin", "abelian"],
         ["decompose", "--builtin", "beta1", "--json"],
@@ -603,9 +620,12 @@ class TestWorkPerRequest:
         assert calls["change_basis_qt"] == 1
 
     def test_decompose(self, capsys, calls):
-        code, _, _ = run(capsys, "decompose", "--builtin", "beta6")
-        assert code == 0
-        assert calls["is_jordan"] == 1
+        for label in ["abelian"] + [f"beta{i}" for i in range(1, 8)]:
+            calls.clear()
+            code, _, _ = run(capsys, "decompose", "--builtin", label)
+            assert code == 0
+            assert calls["is_jordan"] == 1, label
+            assert calls.get("derived_dim", 0) <= 1, label
 
     def test_perturb(self, capsys, calls, tmp_path):
         # one associator at the base; the residual is graded over Q
@@ -625,18 +645,6 @@ class TestWorkPerRequest:
         assert calls["eps_new"] <= 16
 
 
-_fuzz_entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-_fuzz_laws = st.one_of(
-    st.lists(_fuzz_entries, min_size=8, max_size=8).map(
-        lambda xs: Algebra.from_matrix2([xs[0:2], xs[2:4], xs[4:6], xs[6:8]])),
-    st.builds(lambda label, xs: canonical_algebra(label).change_basis(
-                  LinearMap([xs[0:2], xs[2:4]])),
-              st.sampled_from(list(ClassLabel)),
-              st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
-                  lambda xs: xs[0] * xs[3] != xs[1] * xs[2])),
-)
-
-
 class TestFrontDoorFuzz:
     """On generated dimension-2 laws, associative or not, the law commands
     exit 0 or 2, never raise, and print what the full parser's request
@@ -650,7 +658,7 @@ class TestFrontDoorFuzz:
         return code, out.getvalue(), err.getvalue()
 
     @settings(max_examples=40, deadline=None)
-    @given(alg=_fuzz_laws)
+    @given(alg=fuzz_laws2)
     def test_law_commands(self, tmp_path_factory, alg):
         from assoc2 import cli
         path = tmp_path_factory.mktemp("fuzz") / "law.json"

@@ -55,7 +55,9 @@ def _t_power_json(k):
 Z, P0, P1, P2 = (_t_power_json(k) for k in (None, 0, 1, 2))
 
 # the families found at bound 2 by the search as it stood before the h loop
-# was dropped and limits were read off exponents
+# was dropped and limits were read off exponents; bounds 3 and 4 find the
+# same families (recorded before classify became lazy), since each first hit
+# in (a, b, g) order has a, b <= 2
 GOLDEN_BOUND2 = {
     (B.B1, B.ABELIAN): [[P1, Z], [Z, P1]],
     (B.B1, B.B3): [[P0, Z], [Z, P1]],
@@ -289,7 +291,7 @@ class TestSearch:
         assert set(found) == expected
         for (source, target), fam in found.items():
             assert verify_edge(source, target, fam).verified
-        if bound == 2:
+        if bound >= 2:
             assert {pair: family_to_json(fam)["matrix"]
                     for pair, fam in found.items()} == GOLDEN_BOUND2
 

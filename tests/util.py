@@ -1,13 +1,17 @@
-"""Shared generators for the test suite (seeded, deterministic)."""
+"""Shared generators for the test suite: seeded random ones and hypothesis
+strategies."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from assoc2 import (
     ASSOCIATIVE_LABELS,
     Algebra,
+    ClassLabel,
     EpsPolynomial,
     LinearMap,
     Polynomial,
@@ -40,6 +44,20 @@ def random_associative2(rng: random.Random):
     """(label, algebra): a random basis change of a random canonical law."""
     label = rng.choice(ASSOCIATIVE_LABELS)
     return label, canonical_algebra(label).change_basis(rand_invertible(rng))
+
+
+# generated dimension-2 laws: free tables (mostly not associative) and
+# integer basis changes of the fifteen canonical tables
+_fuzz_entries = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+fuzz_laws2 = st.one_of(
+    st.lists(_fuzz_entries, min_size=8, max_size=8).map(
+        lambda xs: Algebra.from_matrix2([xs[0:2], xs[2:4], xs[4:6], xs[6:8]])),
+    st.builds(lambda label, xs: canonical_algebra(label).change_basis(
+                  LinearMap([xs[0:2], xs[2:4]])),
+              st.sampled_from(list(ClassLabel)),
+              st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+                  lambda xs: xs[0] * xs[3] != xs[1] * xs[2])),
+)
 
 
 def random_poly(rng: random.Random, max_deg=3) -> Polynomial:
