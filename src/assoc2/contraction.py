@@ -241,12 +241,20 @@ def _template_transforms() -> list:
     return mats
 
 
+def _check_template_bound(template_bound: int) -> None:
+    if template_bound > 4:
+        raise ValueError("template bound is capped at 4")
+    if template_bound < 0:
+        raise ValueError("template bound must be nonnegative")
+
+
 def search_census(template_bound: int) -> int:
     """Number of family shapes g * diag(t^a, t^b) * h the bounded search covers.
 
-    Because the answer does not depend on h, only 10 * (template_bound + 1)**2
-    distinct candidates are tested.
+    Because the answer does not depend on h, at most
+    10 * (template_bound + 1)**2 distinct candidates are tested.
     """
+    _check_template_bound(template_bound)
     return len(_template_transforms()) ** 2 * (template_bound + 1) ** 2
 
 
@@ -280,14 +288,14 @@ def search_families(source: ClassLabel, target: ClassLabel,
     followed by the constant basis change h, so the limit exists for both or
     neither and has the same class: the first hit in lexicographic
     (a, b, g, h) order has h = identity, and only g D is tested, in (a, b, g)
-    order. Limits are read off t-exponents over the rationals; a hit is
-    returned only once verify_edge confirms it over Q(t). None is a bounded
-    report, not a non-existence proof.
+    order. (a, b) = (0, 0) is skipped, since its limit is the source law
+    itself in the basis g. Limits are read off t-exponents over the
+    rationals; each basis change beta -> g is built when the loop first
+    reaches g, and each distinct limit is classified once per call. A hit
+    is returned only once verify_edge confirms it over Q(t). None is a
+    bounded report, not a non-existence proof.
     """
-    if template_bound > 4:
-        raise ValueError("template bound is capped at 4")
-    if template_bound < 0:
-        raise ValueError("template bound must be nonnegative")
+    _check_template_bound(template_bound)
     for label in (source, target):
         if label not in ASSOCIATIVE_LABELS:
             raise ValueError(f"{label} is not an associative class label")
@@ -296,20 +304,26 @@ def search_families(source: ClassLabel, target: ClassLabel,
     transforms = _template_transforms()
     beta = canonical_algebra(source)
     target_commutative = canonical_algebra(target).is_commutative()
-    pre = [beta.change_basis(LinearMap(g)) for g in transforms]
+    moved = [None] * len(transforms)
+    labels = {}
     t = RationalFunction.t()
-    for a in range(template_bound + 1):
-        for b in range(template_bound + 1):
-            for g, moved in zip(transforms, pre):
-                limit = _diagonal_limit(moved, a, b)
-                if limit is None:
-                    continue
-                if limit.is_commutative() != target_commutative:
-                    continue
-                if classify(limit) != target:
-                    continue
-                fam = ContractionFamily(g).compose(
-                    ContractionFamily.diagonal(t**a, t**b))
-                if verify_edge(source, target, fam).verified:
-                    return fam
+    for a, b in product(range(template_bound + 1), repeat=2):
+        if a == b == 0:
+            continue  # the limit is isomorphic to the source, never the target
+        for i, g in enumerate(transforms):
+            if moved[i] is None:
+                moved[i] = beta.change_basis(LinearMap(g))
+            limit = _diagonal_limit(moved[i], a, b)
+            if limit is None:
+                continue
+            if limit.is_commutative() != target_commutative:
+                continue
+            if limit not in labels:
+                labels[limit] = classify(limit)
+            if labels[limit] != target:
+                continue
+            fam = ContractionFamily(g).compose(
+                ContractionFamily.diagonal(t**a, t**b))
+            if verify_edge(source, target, fam).verified:
+                return fam
     return None

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from assoc2 import (
+    ASSOCIATIVE_LABELS,
     Algebra,
     ClassLabel,
     ContractionFamily,
@@ -338,6 +340,41 @@ class TestContractCommand:
         assert "found: none" in out and "census: 900" in out
 
 
+class TestSearchBytes:
+    """Every --json reply of the bounded search at bounds 2 and 4, the
+    census and the "found: none" replies included, and of graph: sha256 of
+    the concatenated replies, recorded before the search skipped the
+    (0, 0) exponent pair, classified each distinct limit once per call and
+    built its basis changes on first use."""
+
+    DIGESTS = {
+        "bound2": "9f3eb7fec633ba04ee55aabbf060ac91"
+                  "bae1b082be7bcce76e7bf3367f66a46b",
+        "bound4": "663485ebc4047105404b212564d8e42c"
+                  "be1357286a364d4ab70a10b781bbe35e",
+        "graph": "d9227b6e71eb9c35167c413565ac2d26"
+                 "d122f69fbe969c210e4bf4aa1c6fb27e",
+    }
+
+    @staticmethod
+    def requests(case):
+        if case == "graph":
+            return [["graph", "--json"]]
+        bound = case.removeprefix("bound")
+        return [["contract", "--search", source.value, target.value,
+                 "--template-bound", bound, "--json"]
+                for source in ASSOCIATIVE_LABELS
+                for target in ASSOCIATIVE_LABELS if source is not target]
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_json_replies(self, capsys, case):
+        digest = hashlib.sha256()
+        for argv in self.requests(case):
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == self.DIGESTS[case]
+
+
 class TestGraphCommand:
     def test_stdout(self, capsys):
         code, out, _ = run(capsys, "graph")
@@ -505,8 +542,10 @@ class TestWorkPerRequest:
         change_basis = Algebra.change_basis
 
         def counting_change_basis(alg, g):
-            if isinstance(alg.scalar_zero, scalars.RationalFunction):
-                counts["change_basis_qt"] = counts.get("change_basis_qt", 0) + 1
+            for name, scalar in (("change_basis_q", Fraction),
+                                 ("change_basis_qt", scalars.RationalFunction)):
+                if isinstance(alg.scalar_zero, scalar):
+                    counts[name] = counts.get(name, 0) + 1
             return change_basis(alg, g)
 
         monkeypatch.setattr(Algebra, "change_basis", counting_change_basis)
@@ -598,6 +637,63 @@ class TestWorkPerRequest:
             code, out, _ = run(capsys, "contract", "--search", *pair)
             assert code == 0 and "verified: true" in out
             assert calls["verify_edge"] == 1
+
+    def test_search_builds_basis_changes_on_first_use(self, capsys, calls):
+        # the hit comes at (a, b, g) = (0, 1, identity): one basis change
+        # over Q for the template, one over Q(t) inside verify_edge
+        code, out, _ = run(capsys, "contract", "--search", "beta1", "beta3")
+        assert code == 0 and "verified: true" in out
+        assert calls["change_basis_q"] == 1
+        assert calls["change_basis_qt"] == 1
+
+    def test_search_classifies_each_limit_once(self, capsys, calls,
+                                               monkeypatch):
+        # within a request the search classifies each distinct limit once
+        # and never the (a, b) = (0, 0) limit, the source law itself;
+        # verify_edge classifies its own Q(t) limit again
+        from assoc2 import contraction
+        made_at, classified, verifying = {}, [], []
+        diagonal_limit = contraction._diagonal_limit
+        classify_fn = contraction.classify
+        verify = contraction.verify_edge
+        total = 0
+
+        def recording_limit(alg, a, b):
+            limit = diagonal_limit(alg, a, b)
+            made_at[id(limit)] = (a, b, limit)  # the entry keeps the id alive
+            return limit
+
+        def recording_classify(alg):
+            nonlocal total
+            total += 1
+            if not verifying:
+                classified.append(alg)
+            return classify_fn(alg)
+
+        def marking_verify(*args):
+            verifying.append(True)
+            try:
+                return verify(*args)
+            finally:
+                verifying.pop()
+
+        monkeypatch.setattr(contraction, "_diagonal_limit", recording_limit)
+        monkeypatch.setattr(contraction, "classify", recording_classify)
+        monkeypatch.setattr(contraction, "verify_edge", marking_verify)
+        for source in ASSOCIATIVE_LABELS:
+            for target in ASSOCIATIVE_LABELS:
+                if source is target:
+                    continue
+                made_at.clear()
+                classified.clear()
+                code, _, _ = run(capsys, "contract", "--search", source.value,
+                                 target.value)
+                assert code == 0
+                assert len(set(classified)) == len(classified), \
+                    (source, target)
+                assert all(made_at[id(alg)][:2] != (0, 0)
+                           for alg in classified), (source, target)
+        assert total <= 63
 
     def test_classify_not_associative(self, capsys, calls, tmp_path):
         path = tmp_path / "bad.json"

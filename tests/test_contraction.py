@@ -258,8 +258,13 @@ class TestSearch:
         assert search_census(0) == 100
 
     def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            search_families(ClassLabel.B1, ClassLabel.B3, 5)
+        # the census and the search accept exactly the same bounds
+        for bound, message in ((5, "capped at 4"), (-1, "nonnegative"),
+                               (-2, "nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                search_families(ClassLabel.B1, ClassLabel.B3, bound)
+            with pytest.raises(ValueError, match=message):
+                search_census(bound)
 
     def test_rigidity_consistency(self):
         # no bound-2 template reaches a rigid class from a different class
@@ -325,3 +330,19 @@ class TestSearchReduction:
             assert classify(limit) == classify(limit_h)
         read = _diagonal_limit(beta.change_basis(LinearMap(g)), a, b)
         assert read == limit
+
+    @settings(max_examples=150, deadline=None)
+    @given(source=st.sampled_from(ASSOCIATIVE_LABELS),
+           a=st.integers(0, 4), b=st.integers(0, 4),
+           g=st.sampled_from(TRANSFORMS))
+    def test_limits_are_associative_and_no_larger(self, source, a, b, g):
+        # the (0, 0) limit is the source law in the basis g, which is why
+        # the search skips it; every limit is a law of no larger orbit
+        beta = canonical_algebra(source)
+        moved = beta.change_basis(LinearMap(g))
+        assert _diagonal_limit(moved, 0, 0) == moved
+        assert classify(moved) is source
+        limit = _diagonal_limit(moved, a, b)
+        if limit is not None:
+            assert limit.is_associative()
+            assert orbit_dim(limit) <= orbit_dim(beta)
