@@ -10,7 +10,6 @@ eps-polynomials; everything stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -46,15 +45,54 @@ class SingularMap(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExistsIrrational:
+class _Record:
+    """Base of the small immutable records. The fields are ``__slots__``,
+    set once by the subclass's ``__init__`` through ``_set(locals())``.
+    ``==``, ``hash`` and ``repr`` read the tuple of the fields whose names
+    do not start with an underscore, as those of a frozen dataclass do."""
+
+    __slots__ = ()
+
+    def _set(self, values):
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _public(self):
+        return [name for name in self.__slots__ if not name.startswith("_")]
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._public())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # del is refused too
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._public())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ExistsIrrational(_Record):
     """A real witness exists but its coordinates are irrational.
 
     ``discriminant`` is the positive non-square rational whose square root
     the witness needs; existence was decided by its sign alone.
     """
 
-    discriminant: Fraction
+    __slots__ = ("discriminant",)
+
+    def __init__(self, discriminant: Fraction):
+        self._set(locals())
 
 
 def _wrap(x):

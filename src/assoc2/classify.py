@@ -9,7 +9,6 @@ when possible and over a tagged quadratic extension otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -19,6 +18,7 @@ from .algebra import (
     Algebra,
     Element,
     LinearMap,
+    _Record,
     nontrivial_idempotent2,
     square_zero2,
     unital_square_discriminant,
@@ -118,24 +118,23 @@ def label_from_string(text: str) -> ClassLabel:
     raise ValueError(f"unknown class label {text!r}")
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(_Record):
     """Basis-change invariants separating the eight associative classes."""
 
-    commutative: bool
-    left_ann_dim: int
-    right_ann_dim: int
-    derived_dim: int
-    unital: bool
-    nilpotent: bool
-    has_nontrivial_idempotent: bool
-    has_square_zero: bool
-    # the solves witness_for reuses (identity, idempotent, annihilators);
-    # not invariants, so left out of == and repr
-    _unital: tuple | None = field(default=None, compare=False, repr=False)
-    _idempotent: object = field(default=None, compare=False, repr=False)
-    _left_ann: tuple = field(default=(), compare=False, repr=False)
-    _right_ann: tuple = field(default=(), compare=False, repr=False)
+    # the private fields hold the solves witness_for reuses (identity,
+    # idempotent, annihilators); not invariants, so left out of == and repr
+    __slots__ = ("commutative", "left_ann_dim", "right_ann_dim",
+                 "derived_dim", "unital", "nilpotent",
+                 "has_nontrivial_idempotent", "has_square_zero",
+                 "_unital", "_idempotent", "_left_ann", "_right_ann")
+
+    def __init__(self, commutative: bool, left_ann_dim: int,
+                 right_ann_dim: int, derived_dim: int, unital: bool,
+                 nilpotent: bool, has_nontrivial_idempotent: bool,
+                 has_square_zero: bool, _unital: tuple | None = None,
+                 _idempotent: object = None, _left_ann: tuple = (),
+                 _right_ann: tuple = ()):
+        self._set(locals())
 
 
 class _Invariants:
@@ -170,8 +169,8 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     """All eight invariants of a 2-dimensional associative law, for the
     report; ``classify`` computes only those its decision path reads."""
     invariants = _Invariants(alg)
-    return Fingerprint(**{f.name: getattr(invariants, f.name)
-                          for f in fields(Fingerprint)})
+    return Fingerprint(**{name: getattr(invariants, name)
+                          for name in Fingerprint.__slots__})
 
 
 def classify(alg: Algebra) -> ClassLabel:
@@ -241,12 +240,13 @@ def jordan_classify2(alg: Algebra) -> ClassLabel:
     raise UnclassifiableFingerprint("Jordan law outside the known classes")
 
 
-@dataclass(frozen=True)
-class LiePartCoefficients:
+class LiePartCoefficients(_Record):
     """Alternating part mu(e1, e2) = a e1 + b e2."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        self._set(locals())
 
 
 def lie_part_coefficients(mu: Algebra) -> LiePartCoefficients:

@@ -36,7 +36,7 @@ from .contraction import (
 )
 from .deformation import cohomology2, orbit_dim, perturbation_residual, \
     tangent_rank
-from .scalars import PoleAtZero
+from .scalars import PoleAtZero, rational_text
 from . import serialize
 from .serialize import ParseError
 
@@ -70,6 +70,7 @@ def _tensor_lines(alg: Algebra, prefix: str) -> list[str]:
 
 def _not_associative_report(exc: NotAssociative):
     where, value = exc.residual
+    value = rational_text(value)  # a product of input numbers, of any size
     text = [
         "error: law is not associative",
         f"first_nonzero_residual[{where[0]},{where[1]},{where[2]},{where[3]}]:"
@@ -77,7 +78,7 @@ def _not_associative_report(exc: NotAssociative):
     ]
     payload = {
         "error": "not_associative",
-        "first_nonzero_residual": {"index": list(where), "value": str(value)},
+        "first_nonzero_residual": {"index": list(where), "value": value},
     }
     return text, payload
 

@@ -10,12 +10,11 @@ degeneration digraph with a byte-stable DOT rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import HALF, Algebra, DimensionMismatch, LinearMap
+from .algebra import HALF, Algebra, DimensionMismatch, LinearMap, _Record
 from .classify import ASSOCIATIVE_LABELS, ClassLabel, canonical_algebra, classify
 from .deformation import orbit_dim
 from .scalars import Polynomial, PoleAtZero, RationalFunction
@@ -110,17 +109,17 @@ def limit_at_zero(moved: Algebra) -> Algebra:
     return Algebra(n, tensor)
 
 
-@dataclass(frozen=True)
-class ContractionEdge:
+class ContractionEdge(_Record):
     """A candidate degeneration source -> target with its verification."""
 
-    source: ClassLabel
-    target: ClassLabel
-    family: ContractionFamily
-    verified: bool
-    limit_label: ClassLabel | None = None
-    dimension_drop: bool = False
-    reason: str | None = None
+    __slots__ = ("source", "target", "family", "verified", "limit_label",
+                 "dimension_drop", "reason")
+
+    def __init__(self, source: ClassLabel, target: ClassLabel,
+                 family: ContractionFamily, verified: bool,
+                 limit_label: ClassLabel | None = None,
+                 dimension_drop: bool = False, reason: str | None = None):
+        self._set(locals())
 
 
 @lru_cache(maxsize=None)
@@ -179,12 +178,13 @@ _NODE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class ContractionGraph:
+class ContractionGraph(_Record):
     """Verified degeneration digraph on the eight class labels."""
 
-    nodes: tuple
-    edges: tuple
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple, edges: tuple):
+        self._set(locals())
 
     def in_degree(self, label: ClassLabel) -> int:
         return sum(1 for e in self.edges if e.target is label)

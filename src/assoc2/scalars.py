@@ -26,6 +26,30 @@ class PoleAtZero(ZeroDivisionError):
     """The reduced denominator of a rational function vanishes at t = 0."""
 
 
+# Python refuses to convert an int of more than sys.get_int_max_str_digits()
+# digits (4300 by default, never less than 640) to a string; this many
+# digits at a time always convert.
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0, however many there are."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return str(n) + "".join(reversed(chunks))
+
+
+def rational_text(q: Fraction) -> str:
+    """``str(q)``, also where the numerator or the denominator has more
+    digits than Python converts at once, as a product of two large input
+    numbers may."""
+    text = ("-" if q < 0 else "") + _digits(abs(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{_digits(q.denominator)}"
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -673,11 +697,11 @@ class EpsPolynomial:
                     factors.append(f"eps{i + 1}^{e}")
             mono = "*".join(factors)
             if not mono:
-                term = str(abs(c))
+                term = rational_text(abs(c))
             elif abs(c) == 1:
                 term = mono
             else:
-                term = f"{abs(c)}*{mono}"
+                term = f"{rational_text(abs(c))}*{mono}"
             parts.append(("-" if c < 0 else "+", term))
         sign, first = parts[0]
         text = ("-" if sign == "-" else "") + first

@@ -505,6 +505,55 @@ class TestNotAssociativeReport:
             assert out == expected
 
 
+class TestTallResiduals:
+    """The law e1*e1 = N e2, e1*e2 = N e1 with N = 10^k - 1 is not
+    associative, and its residuals are -N^2 and -2N^2 (perturb, as the one
+    direction over the zero base). From k = 2160 these pass Python's
+    4300-digit int-to-str limit; the replies print them in full all the
+    same, exactly as they print the shorter values at k = 2100."""
+
+    COMMANDS = ("classify", "orbit-dim", "cohomology", "perturb")
+    # every reply at k = 2100, recorded before the limit was worked round
+    DIGEST_2100 = ("f85e7cd219a9d7ffd1825b0f45b06ef4"
+                   "63c91aaed9e2dade777035c9278e96bd")
+
+    @staticmethod
+    def replies(capsys, tmp_path, k):
+        n = str(10 ** k - 1)
+        law = {"matrix": [["0", n], [n, "0"], ["0", "0"], ["0", "0"]]}
+        pert = {"base": {"matrix": [["0", "0"]] * 4}, "directions": [law]}
+        out = []
+        for command in TestTallResiduals.COMMANDS:
+            path = tmp_path / f"{command}{k}.json"
+            path.write_text(json.dumps(pert if command == "perturb" else law))
+            for extra in ([], ["--json"]):
+                out.append(run(capsys, command, str(path), *extra))
+        return out
+
+    @staticmethod
+    def digits(k):
+        """The decimal digits of N^2 and of 2N^2, built as strings."""
+        nines, zeros = "9" * (k - 1), "0" * (k - 1)
+        return nines + "8" + zeros + "1", "1" + nines + "6" + zeros + "2"
+
+    def test_2100_digits_unchanged(self, capsys, tmp_path):
+        digest = hashlib.sha256()
+        for code, out, err in self.replies(capsys, tmp_path, 2100):
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == self.DIGEST_2100
+
+    def test_2160_digits_print_in_full(self, capsys, tmp_path):
+        (sq, sq2), (tall_sq, tall_sq2) = self.digits(2100), self.digits(2160)
+        short = self.replies(capsys, tmp_path, 2100)
+        tall = self.replies(capsys, tmp_path, 2160)
+        assert [code for code, _, _ in tall] == [2] * 6 + [0] * 2
+        for (code, out, err), (tall_code, tall_out, tall_err) in zip(
+                short, tall):
+            assert err == tall_err == "" and tall_code == code
+            assert tall_out == out.replace(sq, tall_sq).replace(sq2, tall_sq2)
+            assert tall_sq in tall_out or tall_sq2 in tall_out
+
+
 class TestWorkPerRequest:
     """Each invariant is computed once per CLI request, and a request
     builds only its own command's parser."""

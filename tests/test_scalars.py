@@ -12,6 +12,7 @@ from assoc2 import (
     rational_sqrt,
     squarefree_decompose,
 )
+from assoc2.scalars import rational_text
 from util import eps_substitute, random_rf
 
 T = Polynomial.t()
@@ -191,3 +192,20 @@ class TestNumberHelpers:
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(0)) == 0
         assert rational_sqrt(Fraction(-1)) is None
+
+    def test_rational_text_matches_str(self):
+        rng = random.Random(11)
+        for digits in (1, 499, 500, 501, 1000, 1001, 4000):
+            for _ in range(5):
+                q = Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                             rng.randint(1, 10 ** rng.randint(1, digits)))
+                assert rational_text(q) == str(q)
+
+    def test_rational_text_past_the_digit_limit(self):
+        # 10^k - 1 squared is 9...980...01, with k - 1 nines and zeros
+        n = 10 ** 5000 - 1
+        square = "9" * 4999 + "8" + "0" * 4999 + "1"
+        assert rational_text(Fraction(-n * n)) == "-" + square
+        assert rational_text(Fraction(n * n, 2)) == square + "/2"
+        assert rational_text(Fraction(-2, n * n)) == "-2/" + square
+        assert str(EpsPolynomial(1, {(2,): n * n})) == square + "*eps1^2"
