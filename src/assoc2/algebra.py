@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from . import linalg
-from .scalars import Polynomial, rational_sqrt
+from .scalars import Polynomial, _Immutable, rational_sqrt
 
 HALF = Fraction(1, 2)
 
@@ -45,7 +45,7 @@ class SingularMap(ValueError):
     pass
 
 
-class _Record:
+class _Record(_Immutable):
     """Base of the small immutable records. The fields are ``__slots__``,
     set once by the subclass's ``__init__`` through ``_set(locals())``.
     ``==``, ``hash`` and ``repr`` read the tuple of the fields whose names
@@ -62,11 +62,6 @@ class _Record:
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._public())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__  # del is refused too
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -101,16 +96,13 @@ def _wrap(x):
     return x
 
 
-class Element:
+class Element(_Immutable):
     """Vector in the working basis, immutable."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(_wrap(c) for c in coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
 
     def __len__(self):
         return len(self.coords)
@@ -154,7 +146,7 @@ class Element:
         return f"Element({list(self.coords)!r})"
 
 
-class LinearMap:
+class LinearMap(_Immutable):
     """Endomorphism as an n x n matrix; column j is the image of e_{j+1}."""
 
     __slots__ = ("matrix",)
@@ -164,9 +156,6 @@ class LinearMap:
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
@@ -207,7 +196,7 @@ class LinearMap:
         return f"LinearMap({[list(r) for r in self.matrix]!r})"
 
 
-class Algebra:
+class Algebra(_Immutable):
     """Bilinear law on n-space given by its structure-constant tensor."""
 
     __slots__ = ("dim", "constants", "scalar_zero")
@@ -225,9 +214,6 @@ class Algebra:
         # the zero of the constants' scalar type, made once per law
         object.__setattr__(self, "scalar_zero",
                            tensor[0][0][0] * 0 if dim else Fraction(0))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Algebra is immutable")
 
     # -- construction helpers ------------------------------------------------
 

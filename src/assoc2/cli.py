@@ -17,6 +17,7 @@ import sys
 from .algebra import Algebra, DimensionMismatch, NotAssociative
 from .classify import (
     ClassLabel,
+    associated_jordan_label,
     canonical_algebra,
     classify,
     classify_fingerprint,
@@ -62,7 +63,8 @@ def _tensor_lines(alg: Algebra, prefix: str) -> list[str]:
     if alg.dim == 2:
         rows = alg.to_matrix2()
         return [
-            f"{prefix}[{name}]: ({rows[k][0]}, {rows[k][1]})"
+            f"{prefix}[{name}]: ({rational_text(rows[k][0])}, "
+            f"{rational_text(rows[k][1])})"
             for k, name in enumerate(_PRODUCT_NAMES)
         ]
     return [f"{prefix}: {serialize.algebra_to_json(alg)['constants']}"]
@@ -129,16 +131,21 @@ def cmd_decompose(args):
     mu = alg.lie_part()
     text = _tensor_lines(phi, "jordan_part")
     text += _tensor_lines(mu, "lie_part")
+    # The symmetric part of an associative law is a Jordan law in every
+    # dimension (Jacobson 1968, ch. I), so only a non-associative input
+    # runs the cubic Jordan check.
     jordan_class = None
     if alg.dim == 2:
-        # jordan_classify2 decides the Jordan identity on its own
         try:
-            jordan_class = jordan_classify2(phi)
-        except NotJordan:
-            pass
+            jordan_class = associated_jordan_label(classify(alg))
+        except NotAssociative:
+            try:
+                jordan_class = jordan_classify2(phi)
+            except NotJordan:
+                pass
         jordan_ok = jordan_class is not None
     else:
-        jordan_ok = phi.is_jordan()
+        jordan_ok = alg.is_associative() or phi.is_jordan()
     jacobi_ok = mu.is_lie()
     text.append(f"jordan_identity: {str(jordan_ok).lower()}")
     text.append(f"jacobi_identity: {str(jacobi_ok).lower()}")
@@ -151,9 +158,10 @@ def cmd_decompose(args):
     if jordan_class is not None:
         coeffs = lie_part_coefficients(mu)
         text.append(f"jordan_class: {jordan_class.value}")
-        text.append(f"lie_coefficients: a={coeffs.a}, b={coeffs.b}")
+        a, b = rational_text(coeffs.a), rational_text(coeffs.b)
+        text.append(f"lie_coefficients: a={a}, b={b}")
         payload["jordan_class"] = jordan_class.value
-        payload["lie_coefficients"] = {"a": str(coeffs.a), "b": str(coeffs.b)}
+        payload["lie_coefficients"] = {"a": a, "b": b}
     return 0, text, payload
 
 

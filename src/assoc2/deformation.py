@@ -23,10 +23,10 @@ from itertools import product
 
 from . import linalg
 from .algebra import Algebra, DimensionMismatch, LinearMap, mixed_associator
-from .scalars import EpsPolynomial
+from .scalars import EpsPolynomial, _Immutable
 
 
-class TrilinearMap:
+class TrilinearMap(_Immutable):
     """Trilinear map as the tensor T[i][j][k][l] (inputs i,j,k; output l),
     built from its n^4 entries in lexicographic (i, j, k, l) order."""
 
@@ -42,9 +42,6 @@ class TrilinearMap:
                        for _ in range(dim))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "tensor", tensor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrilinearMap is immutable")
 
     def _flat(self):
         return (x for plane in self.tensor for row in plane for vec in row
@@ -210,7 +207,7 @@ def cohomology2(beta: Algebra) -> tuple[int, int, int]:
     return z2, b2, z2 - b2
 
 
-class Perturbation:
+class Perturbation(_Immutable):
     """A law base + e1 phi1 + e1 e2 phi2 + ... + e1...ep phip.
 
     The directions must be linearly independent bilinear maps; the
@@ -232,9 +229,6 @@ class Perturbation:
                 raise ValueError("perturbation directions must be independent")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "directions", directions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perturbation is immutable")
 
     @property
     def nparams(self) -> int:

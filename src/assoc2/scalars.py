@@ -46,8 +46,25 @@ def rational_text(q: Fraction) -> str:
     """``str(q)``, also where the numerator or the denominator has more
     digits than Python converts at once, as a product of two large input
     numbers may."""
-    text = ("-" if q < 0 else "") + _digits(abs(q.numerator))
-    return text if q.denominator == 1 else f"{text}/{_digits(q.denominator)}"
+    try:
+        return str(q)
+    except ValueError:  # past the int-to-str digit limit
+        text = ("-" if q < 0 else "") + _digits(abs(q.numerator))
+        return text if q.denominator == 1 \
+            else f"{text}/{_digits(q.denominator)}"
+
+
+class _Immutable:
+    """Base of every immutable value type. Each subclass lists its fields
+    in ``__slots__`` and sets them once in ``__init__`` through
+    ``object.__setattr__``; assignment and ``del`` are refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _as_fraction(x) -> Fraction:
@@ -58,7 +75,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class Polynomial:
+class Polynomial(_Immutable):
     """Univariate polynomial over the rationals, coefficients ascending."""
 
     __slots__ = ("coeffs",)
@@ -68,9 +85,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def t(cls) -> "Polynomial":
@@ -232,10 +246,10 @@ class Polynomial:
             if c == 0:
                 continue
             if k == 0:
-                term = str(abs(c))
+                term = rational_text(abs(c))
             else:
                 var = "t" if k == 1 else f"t^{k}"
-                term = var if abs(c) == 1 else f"{abs(c)}*{var}"
+                term = var if abs(c) == 1 else f"{rational_text(abs(c))}*{var}"
             parts.append(("-" if c < 0 else "+", term))
         sign, first = parts[0]
         text = ("-" if sign == "-" else "") + first
@@ -267,7 +281,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-class RationalFunction:
+class RationalFunction(_Immutable):
     """Quotient of polynomials in t, normalized eagerly.
 
     Normal form: gcd(num, den) = 1 and den monic, so a pole at t = 0 is the
@@ -297,9 +311,6 @@ class RationalFunction:
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def const(cls, c) -> "RationalFunction":
@@ -451,7 +462,7 @@ def rational_sqrt(q: Fraction):
     return None
 
 
-class QuadExt:
+class QuadExt(_Immutable):
     """Element a + b*sqrt(d) of a quadratic extension of the rationals.
 
     d must be a squarefree integer other than 0 and 1, fixed per element;
@@ -467,9 +478,6 @@ class QuadExt:
         if not isinstance(d, int) or d in (0, 1):
             raise ValueError("d must be a squarefree integer, not 0 or 1")
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
 
     def _peer(self, other):
         if isinstance(other, QuadExt):
@@ -569,7 +577,7 @@ class QuadExt:
         return f"QuadExt({self.a!r}, {self.b!r}, d={self.d})"
 
 
-class EpsPolynomial:
+class EpsPolynomial(_Immutable):
     """Sparse polynomial in formal parameters e1..ep over the rationals.
 
     Terms map exponent tuples of length ``nvars`` to nonzero coefficients.
@@ -592,9 +600,6 @@ class EpsPolynomial:
         object.__setattr__(
             self, "_terms", {e: c for e, c in clean.items() if c != 0}
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsPolynomial is immutable")
 
     @classmethod
     def const(cls, c, nvars: int) -> "EpsPolynomial":

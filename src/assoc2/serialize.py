@@ -22,7 +22,7 @@ from fractions import Fraction
 from .algebra import Algebra, LinearMap
 from .contraction import ContractionFamily
 from .deformation import Perturbation
-from .scalars import Polynomial, QuadExt, RationalFunction
+from .scalars import Polynomial, QuadExt, RationalFunction, rational_text
 
 
 MAX_DIM = 4
@@ -71,8 +71,8 @@ def parse_rational_function(obj) -> RationalFunction:
 
 def rational_function_to_json(r: RationalFunction) -> dict:
     return {
-        "num": [str(c) for c in r.num.coeffs],
-        "den": [str(c) for c in r.den.coeffs],
+        "num": [rational_text(c) for c in r.num.coeffs],
+        "den": [rational_text(c) for c in r.den.coeffs],
     }
 
 
@@ -114,7 +114,8 @@ def algebra_to_json(alg: Algebra) -> dict:
         "dim": alg.dim,
         "scalars": "rational",
         "constants": [
-            [[str(x) for x in vec] for vec in row] for row in alg.constants
+            [[rational_text(x) for x in vec] for vec in row]
+            for row in alg.constants
         ],
     }
 
@@ -156,15 +157,16 @@ def witness_to_json(witness: LinearMap) -> dict:
     entries = [x for row in witness.matrix for x in row]
     ext = next((x.d for x in entries if isinstance(x, QuadExt)), None)
     if ext is None:
-        return {"matrix": [[str(x) for x in row] for row in witness.matrix]}
+        return {"matrix": [[rational_text(x) for x in row]
+                           for row in witness.matrix]}
     out = []
     for row in witness.matrix:
         orow = []
         for x in row:
             if isinstance(x, QuadExt):
-                orow.append([str(x.a), str(x.b)])
+                orow.append([rational_text(x.a), rational_text(x.b)])
             else:
-                orow.append([str(x), "0"])
+                orow.append([rational_text(x), "0"])
         out.append(orow)
     return {"matrix": out, "ext": ext}
 

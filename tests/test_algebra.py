@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
@@ -14,7 +15,9 @@ from assoc2 import (
     NotSymmetric,
     QuadExt,
     SingularMap,
+    associated_jordan_label,
     canonical_algebra,
+    jordan_classify2,
     nontrivial_idempotent2,
     square_zero2,
 )
@@ -171,6 +174,24 @@ class TestJordanLieChecks:
         xx = bad.multiply(x, x)
         assert bad.multiply(xx, bad.multiply(x, y)) != \
             bad.multiply(x, bad.multiply(xx, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), dim=st.sampled_from((2, 3)))
+    def test_symmetric_part_of_associative_law_is_jordan(self, seed, dim):
+        # decompose reads the Jordan identity, and in dimension 2 the Jordan
+        # class, off the associativity of its input
+        rng = random.Random(seed)
+        if dim == 2:
+            label, alg = random_associative2(rng)
+        else:
+            one_dim = Algebra.from_products(1, {(1, 1): (rng.randint(0, 1),)})
+            alg = direct_sum(canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)),
+                             one_dim).change_basis(rand_invertible(rng, 3))
+        assert alg.is_associative()
+        assert alg.jordan_part().is_jordan()
+        if dim == 2:
+            assert jordan_classify2(alg.jordan_part()) is \
+                associated_jordan_label(label)
 
     def test_jacobi_at_dim3(self):
         # cross-product-like bracket: mu(e1,e2)=e3, mu(e2,e3)=e1, mu(e3,e1)=e2

@@ -554,6 +554,82 @@ class TestTallResiduals:
             assert tall_sq in tall_out or tall_sq2 in tall_out
 
 
+class TestTallContractAndDecompose:
+    """Legal input whose `contract` and `decompose` replies hold values
+    past Python's 4300-digit int-to-str limit: each reply prints them in
+    full, with no traceback, in text and --json."""
+
+    N = str(10 ** 4000 - 1)
+    SQ = TestTallResiduals.digits(4000)[0]  # N^2
+
+    @pytest.fixture()
+    def law_file(self, tmp_path):
+        # e1*e1 = N e2, e1*e2 = N e1; not associative, so no limit_label
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"matrix": [["0", self.N], [self.N, "0"],
+                                               ["0", "0"], ["0", "0"]]}))
+        return str(path)
+
+    def family_file(self, tmp_path, first, second):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"matrix": [[first, "0"], ["0", second]]}))
+        return str(path)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_contract_limit(self, capsys, tmp_path, law_file, as_json):
+        # diag(N t, N): e1*e1 -> N^2 t^2 e2 and e1*e2 -> N^2 e1
+        fam = self.family_file(tmp_path, {"num": ["0", self.N]}, self.N)
+        code, out, err = run(capsys, "contract", law_file, fam,
+                             *(["--json"] if as_json else []))
+        assert code == 0 and err == ""
+        sq = self.SQ
+        if as_json:
+            payload = json.loads(out)
+            assert payload["transported"][0] == [["0", f"{sq}*t^2"],
+                                                 [sq, "0"]]
+            assert payload["limit"]["constants"][0] == [["0", "0"],
+                                                        [sq, "0"]]
+        else:
+            assert f"transported[e1*e1]: (0, {sq}*t^2)\n" in out
+            assert f"limit[e1*e2]: ({sq}, 0)\n" in out
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_contract_pole(self, capsys, tmp_path, law_file, as_json):
+        # diag(N, N t): e1*e1 -> (N^2 / t) e2, a pole, so exit 3
+        fam = self.family_file(tmp_path, self.N, {"num": ["0", self.N]})
+        code, out, err = run(capsys, "contract", law_file, fam,
+                             *(["--json"] if as_json else []))
+        assert code == 3 and out == ""
+        assert err == (f"error: transported entry (1,1,2) = ({self.SQ})/(t) "
+                       "has a pole at t = 0\n")
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_decompose(self, capsys, tmp_path, as_json):
+        # e1*e2 = (N/M) e1, e2*e1 = (M/N) e1 with N, M = 10^k - 1, 10^k - 3:
+        # the parts are (N^2 + M^2) / 2NM and (N^2 - M^2) / 2NM, reduced to
+        # (10^2k - 4 10^k + 5) / (10^2k - 4 10^k + 3) and
+        # (2 10^k - 4) / (10^2k - 4 10^k + 3)
+        k = 3000
+        n, m = str(10 ** k - 1), str(10 ** k - 3)
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"matrix": [
+            ["0", "0"], [f"{n}/{m}", "0"], [f"{m}/{n}", "0"], ["0", "0"]]}))
+        head = "9" * (k - 1) + "6" + "0" * (k - 1)
+        sym, alt = f"{head}5/{head}3", f"1{'9' * (k - 1)}6/{head}3"
+        code, out, err = run(capsys, "decompose", str(path),
+                             *(["--json"] if as_json else []))
+        assert code == 0 and err == ""
+        if as_json:
+            payload = json.loads(out)
+            assert payload["jordan_part"]["constants"][0][1] == [sym, "0"]
+            assert payload["lie_part"]["constants"][1][0] == [f"-{alt}", "0"]
+            assert payload["jordan_identity"] is False
+        else:
+            assert f"jordan_part[e1*e2]: ({sym}, 0)\n" in out
+            assert f"lie_part[e2*e1]: (-{alt}, 0)\n" in out
+            assert "jordan_identity: false\n" in out
+
+
 class TestWorkPerRequest:
     """Each invariant is computed once per CLI request, and a request
     builds only its own command's parser."""
@@ -765,12 +841,26 @@ class TestWorkPerRequest:
         assert calls["change_basis_qt"] == 1
 
     def test_decompose(self, capsys, calls):
+        # an associative input's symmetric part is Jordan: no cubic check
         for label in ["abelian"] + [f"beta{i}" for i in range(1, 8)]:
             calls.clear()
             code, _, _ = run(capsys, "decompose", "--builtin", label)
             assert code == 0
-            assert calls["is_jordan"] == 1, label
+            assert calls.get("is_jordan", 0) == 0, label
+            assert calls["associativity_residuals"] == 1, label
             assert calls.get("derived_dim", 0) <= 1, label
+
+    @pytest.mark.parametrize("rows", [
+        [["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]],  # not Jordan
+        [["0", "0"], ["1", "0"], ["-1", "0"], ["0", "0"]],  # Jordan, Lie
+    ])
+    def test_decompose_not_associative(self, capsys, calls, tmp_path, rows):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"matrix": rows}))
+        code, _, _ = run(capsys, "decompose", str(path))
+        assert code == 0
+        assert calls["is_jordan"] == 1
+        assert calls["associativity_residuals"] == 1
 
     def test_perturb(self, capsys, calls, tmp_path):
         # one associator at the base; the residual is graded over Q

@@ -5,9 +5,14 @@ They behave as frozen dataclasses do: positional and keyword construction
 with defaults, == and hash over the tuple of compared fields, a
 ``Name(field=value, ...)`` repr, and no assignment. Importing the CLI
 loads neither ``dataclasses`` nor ``inspect``.
+
+Every value type, records included, refuses assignment and ``del``
+through one base, ``scalars._Immutable``.
 """
 
 import hashlib
+import importlib
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,21 +20,33 @@ from pathlib import Path
 
 import pytest
 
+import assoc2
 from assoc2 import (
+    Algebra,
     ClassLabel,
     ContractionEdge,
     ContractionGraph,
+    Element,
+    EpsPolynomial,
     ExistsIrrational,
     Fingerprint,
     LiePartCoefficients,
+    LinearMap,
+    Perturbation,
+    Polynomial,
+    QuadExt,
+    RationalFunction,
+    TrilinearMap,
     abelian_family,
     admissible_lie_parts,
     canonical_algebra,
+    classify,
     contraction_graph,
     fingerprint,
     proper_edge_families,
     verify_edge,
 )
+from assoc2.scalars import _Immutable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -148,6 +165,72 @@ class TestRecords:
         } == REPRS
         assert hashlib.sha256(repr(contraction_graph()).encode()).hexdigest() \
             == GRAPH_REPR_SHA256
+
+
+def _value_samples():
+    """One value of each value type that is not a record."""
+    return [
+        Polynomial((1, 2)),
+        RationalFunction(Polynomial((1,)), Polynomial((0, 1))),
+        QuadExt(1, 2),
+        EpsPolynomial.var(1, 1),
+        Element((1, 2)),
+        LinearMap.identity(2),
+        abelian_family(2),
+        Algebra.zero(2),
+        TrilinearMap(1, [Fraction(0)]),
+        Perturbation(Algebra.zero(1), ()),
+    ]
+
+
+def _fields(value):
+    return [name for cls in type(value).__mro__
+            for name in vars(cls).get("__slots__", ())]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value", _value_samples(),
+                             ids=lambda value: type(value).__name__)
+    def test_immutable(self, value):
+        message = f"{type(value).__name__} is immutable"
+        before = repr(value)
+        assert _fields(value)
+        for name in _fields(value) + ["extra"]:
+            with pytest.raises(AttributeError) as raised:
+                setattr(value, name, None)
+            assert str(raised.value) == message
+            with pytest.raises(AttributeError) as raised:
+                delattr(value, name)
+            assert str(raised.value) == message
+        assert repr(value) == before
+
+    def test_del_leaves_the_canonical_tables_working(self):
+        # canonical_algebra hands every caller the same cached object
+        with pytest.raises(AttributeError):
+            del canonical_algebra(ClassLabel.B1).dim
+        assert canonical_algebra(ClassLabel.B1).dim == 2
+        assert classify(canonical_algebra(ClassLabel.B1)) is ClassLabel.B1
+        graph = contraction_graph()
+        assert graph.edges and all(edge.verified for edge in graph.edges)
+
+
+def _package_classes():
+    """Every class defined in an assoc2 module."""
+    for info in pkgutil.iter_modules(assoc2.__path__):
+        module = importlib.import_module(f"assoc2.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_one_immutability_guard():
+    classes = set(_package_classes())
+    assert _Immutable in classes and len(classes) > 20
+    slotted = {cls for cls in classes if "__slots__" in vars(cls)}
+    assert {cls for cls in slotted if not issubclass(cls, _Immutable)} == set()
+    guarded = {cls for cls in classes
+               if {"__setattr__", "__delattr__"} & set(vars(cls))}
+    assert guarded == {_Immutable}
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
