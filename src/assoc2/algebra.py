@@ -11,7 +11,7 @@ eps-polynomials; everything stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 from . import linalg
 from .scalars import Polynomial, _Immutable, rational_sqrt
@@ -326,13 +326,15 @@ class Algebra(_Immutable):
         return mixed_associator(self, self)
 
     def is_associative(self) -> bool:
-        return all(not r for r in self.associativity_residuals())
+        # stops at the first (i, j, k) with a nonzero residual
+        return not any(any(block) for block in _associator_blocks(self, self))
 
     def require_associative(self, message: str) -> None:
         """Raise NotAssociative(message) carrying the first nonzero residual."""
         n = self.dim
         for index, value in zip(product(range(1, n + 1), repeat=4),
-                                self.associativity_residuals()):
+                                chain.from_iterable(
+                                    _associator_blocks(self, self))):
             if value:
                 raise NotAssociative(message, (index, value))
 
@@ -538,13 +540,18 @@ def mixed_associator(b1: Algebra, b2: Algebra) -> list:
     The one associator kernel: A(b, b) is the associator of b and the
     circle product is b1 o b2 = A(b1, b2) + A(b2, b1).
     """
+    return [x for block in _associator_blocks(b1, b2) for x in block]
+
+
+def _associator_blocks(b1: Algebra, b2: Algebra):
+    """The coordinates of A(b1, b2) as mixed_associator orders them, one
+    list of n per (i, j, k), each computed when it is read."""
     if b1.dim != b2.dim:
         raise DimensionMismatch("laws live on different spaces")
     n = b1.dim
     zero = b1.scalar_zero
     factors = _nonzero(b2)
     terms = factors if b2 is b1 else _nonzero(b1)
-    out = []
     for i in range(n):
         for j in range(n):
             left = factors[i][j]
@@ -556,8 +563,7 @@ def mixed_associator(b1: Algebra, b2: Algebra) -> list:
                 for m, w in factors[j][k]:
                     for l, x in terms[i][m]:
                         acc[l] = acc[l] - w * x
-                out.extend(acc)
-    return out
+                yield acc
 
 
 # -- closed-form quadratic analysis in dimension 2 ---------------------------

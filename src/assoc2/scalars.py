@@ -46,12 +46,9 @@ def rational_text(q: Fraction) -> str:
     """``str(q)``, also where the numerator or the denominator has more
     digits than Python converts at once, as a product of two large input
     numbers may."""
-    try:
-        return str(q)
-    except ValueError:  # past the int-to-str digit limit
-        text = ("-" if q < 0 else "") + _digits(abs(q.numerator))
-        return text if q.denominator == 1 \
-            else f"{text}/{_digits(q.denominator)}"
+    num = q.numerator
+    text = ("-" if num < 0 else "") + _digits(abs(num))
+    return text if q.denominator == 1 else f"{text}/{_digits(q.denominator)}"
 
 
 class _Immutable:

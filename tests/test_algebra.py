@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
@@ -12,15 +11,15 @@ from assoc2 import (
     ExistsIrrational,
     LinearMap,
     NotAlternating,
+    NotAssociative,
     NotSymmetric,
     QuadExt,
     SingularMap,
-    associated_jordan_label,
     canonical_algebra,
-    jordan_classify2,
     nontrivial_idempotent2,
     square_zero2,
 )
+from assoc2 import algebra
 from oracles import ten_equation_residuals
 from util import direct_sum, rand_invertible, random_associative2, random_law2
 
@@ -70,6 +69,24 @@ class TestAssociativity:
         assert res[0] == Fraction(-1) and res[1] == 0
         assert not NONASSOC.is_associative()
 
+    def test_checks_stop_at_first_nonzero_residual(self, monkeypatch):
+        blocks = algebra._associator_blocks
+        read = []
+
+        def counting(b1, b2):
+            for block in blocks(b1, b2):
+                read.append(block)
+                yield block
+
+        monkeypatch.setattr(algebra, "_associator_blocks", counting)
+        assert not NONASSOC.is_associative()
+        assert len(read) == 1
+        with pytest.raises(NotAssociative) as raised:
+            NONASSOC.require_associative("m")
+        assert raised.value.residual == ((1, 1, 1, 1), Fraction(-1))
+        assert len(read) == 2
+        assert Algebra.zero(2).is_associative() and len(read) == 2 + 8
+
     def test_zero_law(self):
         assert Algebra.zero(2).is_associative()
 
@@ -117,6 +134,10 @@ class TestDecomposition:
         one_dim = Algebra.from_products(1, {(1, 1): (1,)})
         samples.append(direct_sum(B["beta3"], one_dim))
         samples.append(direct_sum(B["beta6"], B["beta4"]))
+        # decompose reads the Jordan identity off associativity at dim 3 too
+        zero_dim = Algebra.from_products(1, {})
+        samples.append(direct_sum(B["beta5"], zero_dim).change_basis(
+            rand_invertible(rng, 3)))
         for alg in samples:
             assert alg.is_associative()
             assert alg.jordan_part().is_jordan()
@@ -174,24 +195,6 @@ class TestJordanLieChecks:
         xx = bad.multiply(x, x)
         assert bad.multiply(xx, bad.multiply(x, y)) != \
             bad.multiply(x, bad.multiply(xx, y))
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32), dim=st.sampled_from((2, 3)))
-    def test_symmetric_part_of_associative_law_is_jordan(self, seed, dim):
-        # decompose reads the Jordan identity, and in dimension 2 the Jordan
-        # class, off the associativity of its input
-        rng = random.Random(seed)
-        if dim == 2:
-            label, alg = random_associative2(rng)
-        else:
-            one_dim = Algebra.from_products(1, {(1, 1): (rng.randint(0, 1),)})
-            alg = direct_sum(canonical_algebra(rng.choice(ASSOCIATIVE_LABELS)),
-                             one_dim).change_basis(rand_invertible(rng, 3))
-        assert alg.is_associative()
-        assert alg.jordan_part().is_jordan()
-        if dim == 2:
-            assert jordan_classify2(alg.jordan_part()) is \
-                associated_jordan_label(label)
 
     def test_jacobi_at_dim3(self):
         # cross-product-like bracket: mu(e1,e2)=e3, mu(e2,e3)=e1, mu(e3,e1)=e2

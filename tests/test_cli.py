@@ -652,6 +652,12 @@ class TestWorkPerRequest:
                      "left_annihilator", "right_annihilator"):
             monkeypatch.setattr(Algebra, name,
                                 counting(name, getattr(Algebra, name)))
+        # these stop at the first nonzero residual; each is one associator
+        # pass, as a call of associativity_residuals is
+        for name in ("is_associative", "require_associative"):
+            monkeypatch.setattr(Algebra, name,
+                                counting("associativity_residuals",
+                                         getattr(Algebra, name)))
         wrapped = counting("fingerprint", classify_mod.fingerprint)
         monkeypatch.setattr(classify_mod, "fingerprint", wrapped)
         monkeypatch.setattr(cli, "fingerprint", wrapped)

@@ -68,6 +68,27 @@ def _samples():
     ]
 
 
+def _value_samples():
+    """One value of each value type that is not a record."""
+    return [
+        Polynomial((1, 2)),
+        RationalFunction(Polynomial((1,)), Polynomial((0, 1))),
+        QuadExt(1, 2),
+        EpsPolynomial.var(1, 1),
+        Element((1, 2)),
+        LinearMap.identity(2),
+        abelian_family(2),
+        Algebra.zero(2),
+        TrilinearMap(1, [Fraction(0)]),
+        Perturbation(Algebra.zero(1), ()),
+    ]
+
+
+def _fields(value):
+    return [name for cls in type(value).__mro__
+            for name in vars(cls).get("__slots__", ())]
+
+
 # recorded from the frozen dataclasses
 REPRS = {
     "ExistsIrrational": "ExistsIrrational(discriminant=Fraction(5, 3))",
@@ -98,16 +119,24 @@ class TestRecords:
         assert hash(record) == hash(twin) == hash(fields)
         assert record != fields
 
-    @pytest.mark.parametrize("record,fields", _samples())
+    @pytest.mark.parametrize("record,fields", _samples() + [
+        (value, None) for value in _value_samples()])
     def test_immutable(self, record, fields):
-        for name in type(record).__slots__:
-            with pytest.raises(AttributeError):
+        # one base refuses assignment and del on records and on the other
+        # value types (fields None) alike, with the type's own message
+        message = f"{type(record).__name__} is immutable"
+        before = repr(record)
+        assert _fields(record)
+        for name in _fields(record) + ["extra"]:
+            with pytest.raises(AttributeError) as raised:
                 setattr(record, name, None)
-            with pytest.raises(AttributeError):
+            assert str(raised.value) == message
+            with pytest.raises(AttributeError) as raised:
                 delattr(record, name)
-        with pytest.raises(AttributeError):
-            record.extra = 1
-        assert type(record)(*fields) == record
+            assert str(raised.value) == message
+        assert repr(record) == before
+        if fields is not None:
+            assert type(record)(*fields) == record
 
     def test_distinct_values_differ(self):
         assert ExistsIrrational(Fraction(2)) != ExistsIrrational(Fraction(3))
@@ -167,51 +196,14 @@ class TestRecords:
             == GRAPH_REPR_SHA256
 
 
-def _value_samples():
-    """One value of each value type that is not a record."""
-    return [
-        Polynomial((1, 2)),
-        RationalFunction(Polynomial((1,)), Polynomial((0, 1))),
-        QuadExt(1, 2),
-        EpsPolynomial.var(1, 1),
-        Element((1, 2)),
-        LinearMap.identity(2),
-        abelian_family(2),
-        Algebra.zero(2),
-        TrilinearMap(1, [Fraction(0)]),
-        Perturbation(Algebra.zero(1), ()),
-    ]
-
-
-def _fields(value):
-    return [name for cls in type(value).__mro__
-            for name in vars(cls).get("__slots__", ())]
-
-
-class TestValueTypes:
-    @pytest.mark.parametrize("value", _value_samples(),
-                             ids=lambda value: type(value).__name__)
-    def test_immutable(self, value):
-        message = f"{type(value).__name__} is immutable"
-        before = repr(value)
-        assert _fields(value)
-        for name in _fields(value) + ["extra"]:
-            with pytest.raises(AttributeError) as raised:
-                setattr(value, name, None)
-            assert str(raised.value) == message
-            with pytest.raises(AttributeError) as raised:
-                delattr(value, name)
-            assert str(raised.value) == message
-        assert repr(value) == before
-
-    def test_del_leaves_the_canonical_tables_working(self):
-        # canonical_algebra hands every caller the same cached object
-        with pytest.raises(AttributeError):
-            del canonical_algebra(ClassLabel.B1).dim
-        assert canonical_algebra(ClassLabel.B1).dim == 2
-        assert classify(canonical_algebra(ClassLabel.B1)) is ClassLabel.B1
-        graph = contraction_graph()
-        assert graph.edges and all(edge.verified for edge in graph.edges)
+def test_del_leaves_the_canonical_tables_working():
+    # canonical_algebra hands every caller the same cached object
+    with pytest.raises(AttributeError):
+        del canonical_algebra(ClassLabel.B1).dim
+    assert canonical_algebra(ClassLabel.B1).dim == 2
+    assert classify(canonical_algebra(ClassLabel.B1)) is ClassLabel.B1
+    graph = contraction_graph()
+    assert graph.edges and all(edge.verified for edge in graph.edges)
 
 
 def _package_classes():
