@@ -1,10 +1,12 @@
 """Isomorphism classification of 2-dimensional associative algebras.
 
-Eight associative classes (abelian plus beta1..beta7) and seven Jordan
-classes (abelian plus phi1..phi6) are told apart by a fingerprint of
-basis-change invariants; a separate constructor produces an explicit
-change of basis onto the canonical constant tables, over the rationals
-when possible and over a tagged quadratic extension otherwise.
+Eight associative classes (abelian plus beta1..beta7) are told apart by
+one decision table over basis-change invariants, which also decides the
+Jordan classes (abelian plus phi1..phi6) other than phi6; their tables are
+the symmetric parts of the associative ones. A separate constructor
+produces an explicit change of basis onto the canonical constant tables,
+over the rationals when possible and over a tagged quadratic extension
+otherwise.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ _CANONICAL_ROWS = {
     ClassLabel.B5: [[0, 1], [0, 0], [0, 0], [0, 0]],
     ClassLabel.B6: [[1, 0], [0, 1], [0, 0], [0, 0]],
     ClassLabel.B7: [[1, 0], [0, 0], [0, 1], [0, 0]],
-    ClassLabel.JABELIAN: [[0, 0], [0, 0], [0, 0], [0, 0]],
-    ClassLabel.PHI1: [[1, 0], [0, 1], [0, 1], [-1, 0]],
-    ClassLabel.PHI2: [[1, 0], [0, 1], [0, 1], [1, 0]],
-    ClassLabel.PHI3: [[1, 0], [0, 1], [0, 1], [0, 0]],
-    ClassLabel.PHI4: [[0, 0], [0, 0], [0, 0], [0, 1]],
-    ClassLabel.PHI5: [[0, 1], [0, 0], [0, 0], [0, 0]],
-    ClassLabel.PHI6: [[1, 0], [0, HALF], [0, HALF], [0, 0]],
 }
 
 _ASSOC_TO_JORDAN = {
@@ -103,7 +98,12 @@ _ASSOC_TO_JORDAN = {
 
 @lru_cache(maxsize=None)
 def canonical_algebra(label: ClassLabel) -> Algebra:
-    """The canonical constant table of a class."""
+    """The canonical constant table of a class; a Jordan table is the
+    symmetric part of the first associative one over it (phi6 of beta6)."""
+    if label in JORDAN_LABELS:
+        return next(canonical_algebra(assoc).jordan_part()
+                    for assoc, jordan in _ASSOC_TO_JORDAN.items()
+                    if jordan is label)
     return Algebra.from_matrix2(_CANONICAL_ROWS[label])
 
 
@@ -138,12 +138,12 @@ class Fingerprint(_Record):
 
 
 class _Invariants:
-    """The fields of a law's Fingerprint, each computed on first read."""
+    """The fields of a law's Fingerprint, each computed on first read; the
+    caller checks that the law is associative, or Jordan."""
 
     def __init__(self, alg: Algebra):
         if alg.dim != 2:
             raise ValueError("fingerprints are defined for dimension 2")
-        alg.require_associative("fingerprint needs an associative law")
         self.alg = alg
 
     commutative = cached_property(lambda self: self.alg.is_commutative())
@@ -169,6 +169,7 @@ def fingerprint(alg: Algebra) -> Fingerprint:
     """All eight invariants of a 2-dimensional associative law, for the
     report; ``classify`` computes only those its decision path reads."""
     invariants = _Invariants(alg)
+    alg.require_associative("fingerprint needs an associative law")
     return Fingerprint(**{name: getattr(invariants, name)
                           for name in Fingerprint.__slots__})
 
@@ -180,13 +181,16 @@ def classify(alg: Algebra) -> ClassLabel:
     invariant is computed on first use and the branches not taken cost
     nothing.
     """
-    return classify_fingerprint(_Invariants(alg))
+    view = _Invariants(alg)
+    alg.require_associative("fingerprint needs an associative law")
+    return classify_fingerprint(view)
 
 
 def classify_fingerprint(fp: Fingerprint) -> ClassLabel:
     """The decision table, the one map from invariants to labels; total on
-    associative input. ``fp`` is a Fingerprint or ``classify``'s lazy view
-    with the same fields; the table reads at most five of them."""
+    associative input and on Jordan laws other than phi6. ``fp`` is a
+    Fingerprint or a lazy view with the same fields; the table reads at
+    most five of them."""
     if fp.derived_dim == 0:
         return ClassLabel.ABELIAN
     if not fp.commutative:
@@ -207,35 +211,24 @@ def classify_fingerprint(fp: Fingerprint) -> ClassLabel:
 
 
 def jordan_classify2(alg: Algebra) -> ClassLabel:
-    """Class of a 2-dimensional Jordan law (abelian, phi1..phi6)."""
+    """Class of a 2-dimensional Jordan law (abelian, phi1..phi6); all but
+    phi6 are read off the decision table of ``classify``."""
     if alg.dim != 2:
         raise ValueError("Jordan classification is defined for dimension 2")
     if not alg.is_commutative():
         raise NotJordan("a Jordan law is symmetric")
     if not alg.is_jordan():
         raise NotJordan("law fails the Jordan identity")
-    derived = alg.derived_dim()
-    if derived == 0:
-        return ClassLabel.JABELIAN
-    unital = unital_square_discriminant(alg)
-    if unital is not None:
-        if square_zero2(alg) is not None:
-            return ClassLabel.PHI3
-        if nontrivial_idempotent2(alg, unital) is not None:
-            return ClassLabel.PHI2
-        return ClassLabel.PHI1
-    if derived == 1:
-        return ClassLabel.PHI5 if alg.is_nilpotent() else ClassLabel.PHI4
-    # non-unital with full derived space: the half-identity class. Confirm
-    # via the spectrum {1, 1/2} of left multiplication at an idempotent.
-    e = nontrivial_idempotent2(alg, unital)
+    view = _Invariants(alg)
+    if view.derived_dim < 2 or view.unital:
+        return associated_jordan_label(classify_fingerprint(view))
+    # phi6, which no commutative associative law reaches: left
+    # multiplication at an idempotent has trace 3/2 and determinant 1/2,
+    # that is the spectrum {1, 1/2}
+    e = view._idempotent
     if isinstance(e, Element):
-        le = [[x for x in alg.multiply(e, alg.basis_element(j + 1))]
-              for j in range(2)]
-        tr = le[0][0] + le[1][1]
-        det = le[0][0] * le[1][1] - le[0][1] * le[1][0]
-        char = Polynomial((det, -tr, Fraction(1)))
-        if char(HALF) == 0 and char(Fraction(1)) == 0:
+        c1, c2 = (alg.multiply(e, alg.basis_element(j)) for j in (1, 2))
+        if (c1[0] + c2[1], c1[0] * c2[1] - c1[1] * c2[0]) == (1 + HALF, HALF):
             return ClassLabel.PHI6
     raise UnclassifiableFingerprint("Jordan law outside the known classes")
 

@@ -51,6 +51,26 @@ def rational_text(q: Fraction) -> str:
     return text if q.denominator == 1 else f"{text}/{_digits(q.denominator)}"
 
 
+def _signed_sum(terms) -> str:
+    """"c1*m1 - c2*m2 + ..." from nonzero (coefficient, monomial) pairs; an
+    empty monomial is the constant term, and a unit coefficient before a
+    monomial is left out. No terms give "0"."""
+    text = ""
+    for c, mono in terms:
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        mag = abs(c)
+        if not mono:
+            text += rational_text(mag)
+        elif mag == 1:
+            text += mono
+        else:
+            text += f"{rational_text(mag)}*{mono}"
+    return text or "0"
+
+
 class _Immutable:
     """Base of every immutable value type. Each subclass lists its fields
     in ``__slots__`` and sets them once in ``__init__`` through
@@ -235,24 +255,9 @@ class Polynomial(_Immutable):
         return sorted(roots)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c == 0:
-                continue
-            if k == 0:
-                term = rational_text(abs(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                term = var if abs(c) == 1 else f"{rational_text(abs(c))}*{var}"
-            parts.append(("-" if c < 0 else "+", term))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        return _signed_sum((c, "" if k == 0 else "t" if k == 1 else f"t^{k}")
+                           for k, c in reversed(list(enumerate(self.coeffs)))
+                           if c)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -477,14 +482,16 @@ class QuadExt(_Immutable):
         object.__setattr__(self, "d", d)
 
     def _peer(self, other):
+        """``other`` in the common field, the one of whichever operand has
+        an irrational part; binary results are built with the peer's d."""
         if isinstance(other, QuadExt):
             if other.d != self.d and other.b != 0 and self.b != 0:
                 raise TypeError("mixed quadratic extensions")
             d = self.d if self.b != 0 or other.b == 0 else other.d
-            return QuadExt(other.a, other.b, d), d
+            return QuadExt(other.a, other.b, d)
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d), self.d
-        return None, None
+            return QuadExt(other, 0, self.d)
+        return None
 
     def _make(self, a, b):
         return QuadExt(a, b, self.d)
@@ -497,7 +504,7 @@ class QuadExt(_Immutable):
 
     def __eq__(self, other):
         try:
-            o, _ = self._peer(other)
+            o = self._peer(other)
         except TypeError:
             return False
         if o is None:
@@ -511,31 +518,31 @@ class QuadExt(_Immutable):
         return self._make(-self.a, -self.b)
 
     def __add__(self, other):
-        o, _ = self._peer(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return self._make(self.a + o.a, self.b + o.b)
+        return o._make(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o, _ = self._peer(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return self._make(self.a - o.a, self.b - o.b)
+        return o._make(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        o, _ = self._peer(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o, _ = self._peer(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return self._make(
-            self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a
+        return o._make(
+            self.a * o.a + self.b * o.b * o.d, self.a * o.b + self.b * o.a
         )
 
     __rmul__ = __mul__
@@ -550,13 +557,13 @@ class QuadExt(_Immutable):
         return self._make(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
-        o, _ = self._peer(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o, _ = self._peer(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -687,29 +694,10 @@ class EpsPolynomial(_Immutable):
         return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exps, c in self._sorted_terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"eps{i + 1}")
-                elif e > 1:
-                    factors.append(f"eps{i + 1}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                term = rational_text(abs(c))
-            elif abs(c) == 1:
-                term = mono
-            else:
-                term = f"{rational_text(abs(c))}*{mono}"
-            parts.append(("-" if c < 0 else "+", term))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        return _signed_sum(
+            (c, "*".join(f"eps{i + 1}" if e == 1 else f"eps{i + 1}^{e}"
+                         for i, e in enumerate(exps) if e))
+            for exps, c in self._sorted_terms())
 
     def __repr__(self):
         return f"EpsPolynomial({self.nvars}, {dict(self._sorted_terms())!r})"

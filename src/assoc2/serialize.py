@@ -34,6 +34,14 @@ class ParseError(ValueError):
     pass
 
 
+def _array(value, what: str) -> list:
+    """``value`` when it is a JSON array; a string or an object would
+    otherwise be read by its characters or its keys."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON array")
+    return value
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"not a rational value: {value!r}")
@@ -62,8 +70,9 @@ def parse_rational_function(obj) -> RationalFunction:
         return RationalFunction(Polynomial((parse_rational(obj),)))
     if not isinstance(obj, dict) or "num" not in obj:
         raise ParseError(f"bad rational-function object: {obj!r}")
-    num = Polynomial([parse_rational(c) for c in obj["num"]])
-    den = Polynomial([parse_rational(c) for c in obj.get("den", [1])])
+    num = Polynomial([parse_rational(c) for c in _array(obj["num"], "num")])
+    den = Polynomial([parse_rational(c)
+                      for c in _array(obj.get("den", [1]), "den")])
     if den.is_zero():
         raise ParseError("rational function with zero denominator")
     return RationalFunction(num, den)
@@ -80,10 +89,11 @@ def parse_algebra(obj) -> Algebra:
     if not isinstance(obj, dict):
         raise ParseError("algebra file must hold a JSON object")
     if "matrix" in obj:
-        rows = obj["matrix"]
-        if not isinstance(rows, list) or len(rows) != 4:
+        rows = _array(obj["matrix"], "the matrix shorthand")
+        if len(rows) != 4:
             raise ParseError("matrix shorthand needs 4 coefficient rows")
-        parsed = [[parse_rational(x) for x in row] for row in rows]
+        parsed = [[parse_rational(x) for x in _array(row, "a matrix row")]
+                  for row in rows]
         if any(len(r) != 2 for r in parsed):
             raise ParseError("matrix shorthand rows must have 2 entries")
         return Algebra.from_matrix2(parsed)
@@ -101,8 +111,9 @@ def parse_algebra(obj) -> Algebra:
         raise ParseError(f"unsupported scalar kind {scalars!r} in algebra file")
     try:
         tensor = [
-            [[parse_rational(x) for x in vec] for vec in row]
-            for row in constants
+            [[parse_rational(x) for x in _array(vec, "a constants vector")]
+             for vec in _array(row, "a constants row")]
+            for row in _array(constants, "constants")
         ]
         return Algebra(dim, tensor)
     except (TypeError, ValueError) as exc:
@@ -123,10 +134,11 @@ def algebra_to_json(alg: Algebra) -> dict:
 def parse_family(obj) -> ContractionFamily:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("family file must hold {'matrix': [[...], ...]}")
-    rows = obj["matrix"]
+    rows = _array(obj["matrix"], "the family matrix")
     try:
         return ContractionFamily(
-            [[parse_rational_function(x) for x in row] for row in rows]
+            [[parse_rational_function(x) for x in _array(row, "a family row")]
+             for row in rows]
         )
     except ParseError:
         raise
@@ -146,7 +158,8 @@ def parse_perturbation(obj) -> Perturbation:
     if not isinstance(obj, dict) or "base" not in obj:
         raise ParseError("perturbation file needs 'base' and 'directions'")
     base = parse_algebra(obj["base"])
-    directions = [parse_algebra(d) for d in obj.get("directions", [])]
+    directions = [parse_algebra(d)
+                  for d in _array(obj.get("directions", []), "directions")]
     try:
         return Perturbation(base, directions)
     except ValueError as exc:

@@ -69,6 +69,20 @@ class TestCanonicalTables:
         assert phi6.constants[0][1] == (Fraction(0), Fraction(1, 2))
         assert phi6.constants[1][0] == (Fraction(0), Fraction(1, 2))
 
+    @pytest.mark.parametrize("label,rows", [
+        (ClassLabel.JABELIAN, [[0, 0], [0, 0], [0, 0], [0, 0]]),
+        (ClassLabel.PHI1, [[1, 0], [0, 1], [0, 1], [-1, 0]]),
+        (ClassLabel.PHI2, [[1, 0], [0, 1], [0, 1], [1, 0]]),
+        (ClassLabel.PHI3, [[1, 0], [0, 1], [0, 1], [0, 0]]),
+        (ClassLabel.PHI4, [[0, 0], [0, 0], [0, 0], [0, 1]]),
+        (ClassLabel.PHI5, [[0, 1], [0, 0], [0, 0], [0, 0]]),
+        (ClassLabel.PHI6, [[1, 0], [0, Fraction(1, 2)], [0, Fraction(1, 2)],
+                           [0, 0]]),
+    ], ids=lambda x: x.value if isinstance(x, ClassLabel) else "")
+    def test_jordan_tables(self, label, rows):
+        # each is the symmetric part of an associative table
+        assert canonical_algebra(label) == Algebra.from_matrix2(rows)
+
     def test_abelian_zero(self):
         assert canonical_algebra(ClassLabel.ABELIAN) == Algebra.zero(2)
 
@@ -282,9 +296,11 @@ class TestJordanClassify:
         rng = random.Random(14)
         for label in JORDAN_LABELS:
             phi = canonical_algebra(label)
-            for _ in range(15):
-                moved = phi.change_basis(rand_invertible(rng))
-                assert jordan_classify2(moved) == label
+            for bound in (5, 2**128):
+                for _ in range(15):
+                    moved = phi.change_basis(
+                        rand_invertible(rng, lo=-bound, hi=bound))
+                    assert jordan_classify2(moved) == label
 
     def test_rejects_non_jordan(self):
         with pytest.raises(NotJordan):
@@ -316,10 +332,13 @@ class TestAdmissibleLieParts:
 class TestPipelineConsistency:
     def test_jordan_label_matches(self):
         rng = random.Random(15)
-        for _ in range(60):
-            label, alg = random_associative2(rng)
-            jl = jordan_classify2(alg.jordan_part())
-            assert jl == associated_jordan_label(label)
+        for bound in (5, 2**128):
+            for _ in range(60):
+                label = rng.choice(ASSOCIATIVE_LABELS)
+                alg = canonical_algebra(label).change_basis(
+                    rand_invertible(rng, lo=-bound, hi=bound))
+                jl = jordan_classify2(alg.jordan_part())
+                assert jl == associated_jordan_label(label)
 
     def test_coefficients_in_admissible_set(self):
         for label in ASSOCIATIVE_LABELS:

@@ -136,6 +136,38 @@ class TestClassifyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("argv,content", [
+        (["classify"], {"matrix": ["10", "01", "01", [-1, 0]]}),
+        (["classify"], {"dim": 2, "constants": [["10", "01"],
+                                                ["01", [-1, 0]]]}),
+        (["classify"], {"matrix": [{"1": 0, "0": 0}, [0, 1], [0, 1],
+                                   [-1, 0]]}),
+        (["classify"], {"matrix": [1, 2, 3, 4]}),
+        (["contract", "--builtin", "beta1"], {"matrix": 5}),
+        (["contract", "--builtin", "beta1"], {"matrix": [5, 6]}),
+        (["contract", "--builtin", "beta1"],
+         {"matrix": [[{"num": "12"}, "0"], ["0", "1"]]}),
+        (["contract", "--builtin", "beta1"],
+         {"matrix": [[{"num": 5}, "0"], ["0", "1"]]}),
+        (["contract", "--builtin", "beta1"],
+         {"matrix": [[{"num": ["1"], "den": 3}, "0"], ["0", "1"]]}),
+        (["perturb"], {"base": {"matrix": [[1, 0], [0, 1], [0, 1], [0, 0]]},
+                       "directions": 5}),
+    ], ids=["string_rows", "string_vectors", "object_row", "number_rows",
+            "family_number", "family_number_rows", "num_string",
+            "num_number", "den_number", "directions_number"])
+    def test_non_array_exit_1(self, capsys, tmp_path, argv, content, as_json):
+        # a string or object is not read by its characters or keys, and a
+        # number raises no traceback
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, *argv, str(path),
+                             *(["--json"] if as_json else []))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith("must be a JSON array\n")
+
     def test_large_prime_discriminant_does_not_hang(self, tmp_path):
         # e2*e2 = P e1 with e1 the identity needs sqrt(P); a separate
         # process with a timeout fails the test instead of hanging it

@@ -130,6 +130,13 @@ class TestQuadExt:
         with pytest.raises(TypeError):
             QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
 
+    def test_rational_element_joins_the_other_field(self):
+        # 1 written in Q(i), plus sqrt(2), lies in Q(sqrt(2))
+        one, s = QuadExt(1, 0, -1), QuadExt(0, 1, 2)
+        for got in (one + s, s + one, one * s + 1, one - s + 2 * s):
+            assert got.d == 2 and got == 1 + s
+        assert (one + s) * (one - s) == -1
+
     def test_gaussian_fields(self):
         # the default field is the Gaussian rationals Q(i)
         g = QuadExt(Fraction(1, 2), Fraction(3, 4))
