@@ -35,8 +35,8 @@ from .contraction import (
     search_families,
     transport,
 )
-from .deformation import cohomology2, orbit_dim, perturbation_residual, \
-    tangent_rank
+from .deformation import _label_orbit_dim, cohomology2, orbit_dim, \
+    perturbation_residual, tangent_rank
 from .scalars import PoleAtZero, rational_text
 from . import serialize
 from .serialize import ParseError
@@ -98,7 +98,7 @@ def cmd_classify(args):
     fp = fingerprint(alg)
     label = classify_fingerprint(fp)
     witness = witness_for(alg, fp)
-    dim_orbit = tangent_rank(alg)  # fingerprint checked associativity
+    dim_orbit = _label_orbit_dim(label)
     wit = serialize.witness_to_json(witness)
     text = [f"label: {label.value}", f"orbit_dim: {dim_orbit}"]
     fp_fields = {
@@ -190,8 +190,9 @@ def cmd_perturb(args):
     text = ["residual: nonzero"]
     payload_entries = []
     for (i, j, k, l), value in entries:
+        value = str(value)
         text.append(f"residual[{i},{j},{k},{l}]: {value}")
-        payload_entries.append({"index": [i, j, k, l], "value": str(value)})
+        payload_entries.append({"index": [i, j, k, l], "value": value})
     return 0, text, {"residual": "nonzero", "entries": payload_entries}
 
 
@@ -256,7 +257,7 @@ def cmd_contract(args):
     if alg.dim == 2 and alg.is_associative():
         label = classify(limit)  # checks that the limit is associative
         source_dim = tangent_rank(alg)
-        limit_dim = tangent_rank(limit)
+        limit_dim = _label_orbit_dim(label)
         drop = source_dim > limit_dim
         text.append(f"limit_label: {label.value}")
         text.append(f"orbit_dim: {source_dim} -> {limit_dim}")

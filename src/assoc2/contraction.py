@@ -11,12 +11,11 @@ degeneration digraph with a byte-stable DOT rendering.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .algebra import HALF, Algebra, DimensionMismatch, LinearMap, _Record
 from .classify import ASSOCIATIVE_LABELS, ClassLabel, canonical_algebra, classify
-from .deformation import orbit_dim
+from .deformation import _label_orbit_dim
 from .scalars import Polynomial, PoleAtZero, RationalFunction
 
 
@@ -120,11 +119,6 @@ class ContractionEdge(_Record):
                  limit_label: ClassLabel | None = None,
                  dimension_drop: bool = False, reason: str | None = None):
         self._set(locals())
-
-
-@lru_cache(maxsize=None)
-def _label_orbit_dim(label: ClassLabel) -> int:
-    return orbit_dim(canonical_algebra(label))
 
 
 def verify_edge(source: ClassLabel, target: ClassLabel,

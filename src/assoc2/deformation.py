@@ -19,10 +19,14 @@ splits by degree in eps (Gerstenhaber's cocycle and obstruction terms):
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import linalg
 from .algebra import Algebra, DimensionMismatch, LinearMap, mixed_associator
+from .classify import ClassLabel, _Invariants, canonical_algebra, \
+    classify_fingerprint
 from .scalars import EpsPolynomial, _Immutable
 
 
@@ -125,10 +129,40 @@ def tangent_rank(beta: Algebra) -> int:
     return linalg.rank(_tangent_rows(beta))
 
 
-def orbit_dim(beta: Algebra) -> int:
-    """Dimension of the isomorphism orbit = rank of the tangent matrix."""
-    beta.require_associative("tangent spaces are taken at associative laws")
+_TANGENT_AT = "tangent spaces are taken at associative laws"
+_COHOMOLOGY_AT = "cohomology is computed at associative laws"
+
+
+def _class2(beta: Algebra, message: str):
+    """The class label of a rational law of dimension 2, or None for any
+    other law. One associator pass raises NotAssociative(message); the
+    decision table then reads the lazy invariants, as ``classify`` does."""
+    if beta.dim != 2 or not isinstance(beta.scalar_zero, Fraction):
+        return None
+    view = _Invariants(beta)
+    beta.require_associative(message)
+    return classify_fingerprint(view)
+
+
+def _orbit_dim(beta: Algebra) -> int:
+    beta.require_associative(_TANGENT_AT)
     return tangent_rank(beta)
+
+
+@lru_cache(maxsize=None)
+def _label_orbit_dim(label: ClassLabel) -> int:
+    """orbit_dim of the class's canonical table, computed directly."""
+    return _orbit_dim(canonical_algebra(label))
+
+
+def orbit_dim(beta: Algebra) -> int:
+    """Dimension of the isomorphism orbit = rank of the tangent matrix.
+
+    It is an isomorphism invariant, so a rational law of dimension 2 gets
+    the rank of its class's canonical table; other laws rank their own.
+    """
+    label = _class2(beta, _TANGENT_AT)
+    return _orbit_dim(beta) if label is None else _label_orbit_dim(label)
 
 
 def stabilizer_dim(beta: Algebra) -> int:
@@ -189,6 +223,23 @@ def _cocycle_rows(beta: Algebra) -> list:
 def cohomology2(beta: Algebra) -> tuple[int, int, int]:
     """(z2, b2, h2): cocycle, coboundary and quotient dimensions at beta.
 
+    They are isomorphism invariants (Hochschild 1945, Gerstenhaber 1964),
+    so a rational law of dimension 2 gets those of its class's canonical
+    table, computed once by ``_cohomology``; other laws get their own.
+    """
+    label = _class2(beta, _COHOMOLOGY_AT)
+    return _cohomology(beta) if label is None else _label_cohomology(label)
+
+
+@lru_cache(maxsize=None)
+def _label_cohomology(label: ClassLabel) -> tuple[int, int, int]:
+    """cohomology2 of the class's canonical table, computed directly."""
+    return _cohomology(canonical_algebra(label))
+
+
+def _cohomology(beta: Algebra) -> tuple[int, int, int]:
+    """(z2, b2, h2) at beta from its own matrices.
+
     z2 is the kernel dimension of phi -> d2_beta phi on the n^3-dimensional
     space of bilinear maps, b2 the orbit dimension (the rank of
     ``_tangent_rows``), h2 their difference.
@@ -201,7 +252,7 @@ def cohomology2(beta: Algebra) -> tuple[int, int, int]:
         [(i, j) = (a, b)] c[c][k][l] - [(j, k) = (a, b)] c[i][c][l]
         + [(k, l) = (b, c)] c[i][j][a] - [(i, l) = (a, c)] c[j][k][b].
     """
-    beta.require_associative("cohomology is computed at associative laws")
+    beta.require_associative(_COHOMOLOGY_AT)
     z2 = beta.dim**3 - linalg.rank(_cocycle_rows(beta))
     b2 = tangent_rank(beta)
     return z2, b2, z2 - b2

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
@@ -29,34 +29,10 @@ from assoc2 import (
 )
 from assoc2.classify import classify_fingerprint
 from assoc2.contraction import _diagonal_limit, _template_transforms
-from util import fuzz_laws2, rand_invertible, random_associative2
+from util import fuzz_laws2, laws_in_class, rand_invertible, \
+    random_associative2
 
 NONASSOC = Algebra.from_products(2, {(1, 1): (0, 1), (1, 2): (1, 0)})
-
-non_integers = st.fractions(min_value=-3, max_value=3,
-                            max_denominator=6).filter(lambda q: q.denominator > 1)
-rational_invertible = st.lists(non_integers, min_size=4, max_size=4).map(
-    lambda xs: LinearMap([xs[:2], xs[2:]])).filter(lambda g: g.is_invertible)
-
-
-@st.composite
-def laws_in_class(draw):
-    """(label, law): a law of class ``label`` in a rational basis.
-
-    For beta1 and beta2 the law is u = e1 the identity and e2 * e2 = c e1,
-    with c = +-k r^2 of the class's sign. Unless k = 1, c is not a signed
-    rational square, so the witness needs sqrt(k) and has QuadExt entries.
-    """
-    label = draw(st.sampled_from(ASSOCIATIVE_LABELS))
-    base = canonical_algebra(label)
-    if label in (ClassLabel.B1, ClassLabel.B2):
-        sign = 1 if label is ClassLabel.B2 else -1
-        k = draw(st.sampled_from([1, 2, 3, 5, 6, 7]))
-        r = draw(st.fractions(min_value=Fraction(1, 4), max_value=4,
-                              max_denominator=4))
-        base = Algebra.from_matrix2([[1, 0], [0, 1], [0, 1],
-                                     [sign * k * r * r, 0]])
-    return label, base.change_basis(draw(rational_invertible))
 
 
 class TestCanonicalTables:

@@ -20,6 +20,7 @@ from assoc2 import (
     ClassLabel,
     ContractionFamily,
     IdenticallySingular,
+    LinearMap,
     Perturbation,
     Polynomial,
     RationalFunction,
@@ -700,6 +701,11 @@ class TestWorkPerRequest:
                             counting("kernel_basis", linalg.kernel_basis))
         monkeypatch.setattr(deformation, "_tangent_rows",
                             counting("tangent_rows", deformation._tangent_rows))
+        monkeypatch.setattr(deformation, "_cocycle_rows",
+                            counting("cocycle_rows", deformation._cocycle_rows))
+        # the per-class lookups start cold, whichever tests ran before
+        deformation._label_orbit_dim.cache_clear()
+        deformation._label_cohomology.cache_clear()
         monkeypatch.setattr(Algebra, "derived_dim",
                             counting("derived_dim", Algebra.derived_dim))
         change_basis = Algebra.change_basis
@@ -742,9 +748,28 @@ class TestWorkPerRequest:
         code, _, _ = run(capsys, "classify", "--builtin", "beta2")
         assert code == 0
         assert calls["fingerprint"] == 1
-        assert calls["associativity_residuals"] == 1
+        # the input's pass, and the canonical table's as the cold orbit
+        # dimension lookup fills its beta2 entry
+        assert calls["associativity_residuals"] == 2
         assert calls["check_witness"] == 1
         assert calls["add_parser"] == 1
+
+    @pytest.mark.parametrize("command", ["classify", "orbit-dim",
+                                         "cohomology"])
+    def test_class_invariants_read_off_the_class(self, capsys, calls,
+                                                 tmp_path, command):
+        # a second law of an already-seen class: one associator pass on
+        # the input, and neither its tangent nor its cocycle matrix
+        law = canonical_algebra(ClassLabel.B4).change_basis(
+            LinearMap([[1, 2], [3, 5]]))
+        path = tmp_path / "law.json"
+        path.write_text(serialize.dumps(serialize.algebra_to_json(law)))
+        assert run(capsys, command, "--builtin", "beta4")[0] == 0
+        calls.clear()
+        assert run(capsys, command, str(path))[0] == 0
+        assert calls["associativity_residuals"] == 1
+        assert calls.get("tangent_rows", 0) == 0
+        assert calls.get("cocycle_rows", 0) == 0
 
     @pytest.mark.parametrize("label", ["abelian"] + [f"beta{i}"
                                                      for i in range(1, 8)])
@@ -867,9 +892,13 @@ class TestWorkPerRequest:
         assert calls["associativity_residuals"] == 1
 
     def test_orbit_dim(self, capsys, calls):
-        code, _, _ = run(capsys, "orbit-dim", "--builtin", "beta4")
-        assert code == 0
-        assert calls["tangent_rows"] == 1
+        # the cold lookup ranks beta4's tangent matrix once; the second
+        # request reads the entry
+        for tangent_rows in (1, 0):
+            calls.clear()
+            code, _, _ = run(capsys, "orbit-dim", "--builtin", "beta4")
+            assert code == 0
+            assert calls.get("tangent_rows", 0) == tangent_rows
 
     def test_contract_transports_once(self, capsys, calls,
                                       scaling_family_file):

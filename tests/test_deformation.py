@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assoc2 import (
     ASSOCIATIVE_LABELS,
@@ -12,6 +13,7 @@ from assoc2 import (
     NotAssociative,
     Perturbation,
     Polynomial,
+    QuadExt,
     RationalFunction,
     canonical_algebra,
     circle_product,
@@ -23,10 +25,12 @@ from assoc2 import (
     perturbation_residual,
     stabilizer_dim,
 )
-from assoc2.deformation import _tangent_rows
+from assoc2.deformation import _cohomology, _tangent_rows, tangent_rank
 from oracles import oracle_cohomology
 from util import (
+    direct_sum,
     infinitesimal_part,
+    laws_in_class,
     perturbation_law,
     rand_fraction,
     random_associative2,
@@ -159,9 +163,60 @@ class TestOrbits:
             assert orbit_dim(alg) == ORBIT_TABLE[label]
 
     def test_requires_associative(self):
+        # orbit_dim's message and residual, and cohomology2's
         bad = Algebra.from_products(2, {(1, 1): (0, 1), (1, 2): (1, 0)})
-        with pytest.raises(NotAssociative):
-            orbit_dim(bad)
+        got = []
+        for call in (orbit_dim, cohomology2):
+            with pytest.raises(NotAssociative) as info:
+                call(bad)
+            got.append((str(info.value), info.value.residual))
+        assert got == [
+            ("tangent spaces are taken at associative laws",
+             ((1, 1, 1, 1), Fraction(-1))),
+            ("cohomology is computed at associative laws",
+             ((1, 1, 1, 1), Fraction(-1))),
+        ]
+
+
+_tall = st.builds(Fraction, st.integers(-2**128, 2**128),
+                  st.integers(1, 2**128))
+_tall_invertible = st.lists(_tall, min_size=4, max_size=4).map(
+    lambda xs: LinearMap([xs[:2], xs[2:]])).filter(lambda g: g.is_invertible)
+
+
+@st.composite
+def _laws_in_class_any_height(draw):
+    """A law of ``laws_in_class``, half the time moved on by a basis change
+    with 128-bit entries."""
+    _, alg = draw(laws_in_class())
+    if draw(st.booleans()):
+        alg = alg.change_basis(draw(_tall_invertible))
+    return alg
+
+
+class TestInvariantsByClass:
+    """At dimension 2 orbit_dim and cohomology2 answer with the numbers of
+    the input's class; isomorphic laws share them, so they equal the ranks
+    of the input's own matrices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alg=_laws_in_class_any_height())
+    def test_orbit_dim_is_tangent_rank(self, alg):
+        assert orbit_dim(alg) == tangent_rank(alg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alg=_laws_in_class_any_height())
+    def test_cohomology_is_direct(self, alg):
+        assert cohomology2(alg) == _cohomology(alg)
+
+    def test_other_scalars_rank_their_own_matrices(self):
+        # the decision table is written over Q; over Q(t) or Q(sqrt 2) the
+        # ranks are those of the law's own matrices
+        for label in ASSOCIATIVE_LABELS:
+            for lift in (RationalFunction, lambda c: QuadExt(c, 0, 2)):
+                alg = canonical_algebra(label).map_scalars(lift)
+                assert orbit_dim(alg) == ORBIT_TABLE[label]
+                assert cohomology2(alg) == COHOMOLOGY_TABLE[label]
 
 
 class TestCircleProduct:
@@ -219,6 +274,16 @@ class TestCohomology:
         for label in ASSOCIATIVE_LABELS:
             alg = canonical_algebra(label)
             assert cohomology2(alg) == oracle_cohomology(alg.constants, 2)
+
+    def test_dimension_3_matches_independent_oracle(self):
+        # no class labels at dimension 3: cohomology2 ranks the law's own
+        # matrices
+        one = Algebra.from_products(1, {(1, 1): (1,)})
+        for label, extra in ((ClassLabel.B3, one),
+                             (ClassLabel.B6, Algebra.zero(1))):
+            alg = direct_sum(canonical_algebra(label), extra).change_basis(
+                LinearMap([[1, 2, 0], [0, 1, -1], [1, 0, 1]]))
+            assert cohomology2(alg) == oracle_cohomology(alg.constants, 3)
 
     def test_h2_nonnegative_on_transports(self):
         rng = random.Random(29)
