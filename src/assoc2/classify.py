@@ -139,11 +139,14 @@ class Fingerprint(_Record):
 
 class _Invariants:
     """The fields of a law's Fingerprint, each computed on first read; the
-    caller checks that the law is associative, or Jordan."""
+    caller checks that the law is associative, or Jordan. Raises
+    ValueError unless the law has dimension 2 and rational constants."""
 
     def __init__(self, alg: Algebra):
         if alg.dim != 2:
             raise ValueError("fingerprints are defined for dimension 2")
+        if not isinstance(alg.scalar_zero, Fraction):
+            raise ValueError("fingerprints are defined for rational laws")
         self.alg = alg
 
     commutative = cached_property(lambda self: self.alg.is_commutative())
@@ -166,8 +169,9 @@ class _Invariants:
 
 
 def fingerprint(alg: Algebra) -> Fingerprint:
-    """All eight invariants of a 2-dimensional associative law, for the
-    report; ``classify`` computes only those its decision path reads."""
+    """All eight invariants of a 2-dimensional associative rational law,
+    for the report; ``classify`` computes only those its decision path
+    reads. Raises ValueError on any other dimension or scalar type."""
     invariants = _Invariants(alg)
     alg.require_associative("fingerprint needs an associative law")
     return Fingerprint(**{name: getattr(invariants, name)
@@ -175,11 +179,11 @@ def fingerprint(alg: Algebra) -> Fingerprint:
 
 
 def classify(alg: Algebra) -> ClassLabel:
-    """Isomorphism class of a 2-dimensional associative law.
+    """Isomorphism class of a 2-dimensional associative rational law.
 
     Runs ``classify_fingerprint`` on a lazy view of the fingerprint, so each
     invariant is computed on first use and the branches not taken cost
-    nothing.
+    nothing. Raises ValueError on any other dimension or scalar type.
     """
     view = _Invariants(alg)
     alg.require_associative("fingerprint needs an associative law")
@@ -211,15 +215,16 @@ def classify_fingerprint(fp: Fingerprint) -> ClassLabel:
 
 
 def jordan_classify2(alg: Algebra) -> ClassLabel:
-    """Class of a 2-dimensional Jordan law (abelian, phi1..phi6); all but
-    phi6 are read off the decision table of ``classify``."""
+    """Class of a 2-dimensional rational Jordan law (abelian, phi1..phi6);
+    all but phi6 are read off the decision table of ``classify``. Raises
+    ValueError on any other dimension or scalar type."""
     if alg.dim != 2:
         raise ValueError("Jordan classification is defined for dimension 2")
+    view = _Invariants(alg)
     if not alg.is_commutative():
         raise NotJordan("a Jordan law is symmetric")
     if not alg.is_jordan():
         raise NotJordan("law fails the Jordan identity")
-    view = _Invariants(alg)
     if view.derived_dim < 2 or view.unital:
         return associated_jordan_label(classify_fingerprint(view))
     # phi6, which no commutative associative law reaches: left
@@ -359,7 +364,8 @@ def _quad_promote(x, d):
 
 
 def isomorphism_witness(alg: Algebra) -> tuple:
-    """(label, g) with change_basis(alg, g) equal to the canonical table.
+    """(label, g) with change_basis(alg, g) equal to the canonical table,
+    for a 2-dimensional associative rational law (ValueError otherwise).
 
     g is rational whenever possible; for the beta1/beta2 classes a square
     root of the unital discriminant may be needed, in which case g has

@@ -16,6 +16,7 @@ import sys
 
 from .algebra import Algebra, DimensionMismatch, NotAssociative
 from .classify import (
+    ASSOCIATIVE_LABELS,
     ClassLabel,
     associated_jordan_label,
     canonical_algebra,
@@ -36,7 +37,7 @@ from .contraction import (
     transport,
 )
 from .deformation import _label_orbit_dim, cohomology2, orbit_dim, \
-    perturbation_residual, tangent_rank
+    perturbation_residual
 from .scalars import PoleAtZero, rational_text
 from . import serialize
 from .serialize import ParseError
@@ -101,16 +102,7 @@ def cmd_classify(args):
     dim_orbit = _label_orbit_dim(label)
     wit = serialize.witness_to_json(witness)
     text = [f"label: {label.value}", f"orbit_dim: {dim_orbit}"]
-    fp_fields = {
-        "commutative": fp.commutative,
-        "left_ann_dim": fp.left_ann_dim,
-        "right_ann_dim": fp.right_ann_dim,
-        "derived_dim": fp.derived_dim,
-        "unital": fp.unital,
-        "nilpotent": fp.nilpotent,
-        "has_nontrivial_idempotent": fp.has_nontrivial_idempotent,
-        "has_square_zero": fp.has_square_zero,
-    }
+    fp_fields = {name: getattr(fp, name) for name in fp._public()}
     for key, value in fp_fields.items():
         text.append(f"fingerprint.{key}: {str(value).lower()}")
     text.append(f"witness: {json.dumps(wit['matrix'])}")
@@ -202,6 +194,9 @@ def cmd_contract(args):
             src, dst = (label_from_string(name) for name in args.search)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+        for label in (src, dst):
+            if label not in ASSOCIATIVE_LABELS:
+                raise ParseError(f"{label} is not an associative class label")
         bound = args.template_bound
         if not 0 <= bound <= 4:
             raise ParseError("--template-bound must be between 0 and 4")
@@ -256,7 +251,7 @@ def cmd_contract(args):
     }
     if alg.dim == 2 and alg.is_associative():
         label = classify(limit)  # checks that the limit is associative
-        source_dim = tangent_rank(alg)
+        source_dim = orbit_dim(alg)
         limit_dim = _label_orbit_dim(label)
         drop = source_dim > limit_dim
         text.append(f"limit_label: {label.value}")

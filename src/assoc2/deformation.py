@@ -72,30 +72,9 @@ class TrilinearMap(_Immutable):
         return f"TrilinearMap(dim={self.dim}, nonzero={len(self.nonzero_entries())})"
 
 
-def coboundary(beta: Algebra, f: LinearMap) -> Algebra:
-    """Infinitesimal change of beta along Id + eps f, as a bilinear tensor."""
-    if f.n != beta.dim:
-        raise DimensionMismatch("endomorphism size does not match the law")
-    n = beta.dim
-    zero = beta.scalar_zero
-    cols = [[x + zero for x in f.column(j)] for j in range(n)]
-    frows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    c = beta.constants
-    new = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            term1 = beta._times_basis(cols[i], j)
-            term2 = beta._basis_times(i, cols[j])
-            term3 = linalg.mat_vec(frows, list(c[i][j]))
-            row.append([a + b - d for a, b, d in zip(term1, term2, term3)])
-        new.append(row)
-    return Algebra(n, new)
-
-
 def _tangent_rows(beta: Algebra) -> list:
-    """The tangent matrix of the orbit: rows coboundary(beta, E_rs),
-    flattened in (i, j, k), for (r, s) in lexicographic order.
+    """The tangent matrix of the orbit: rows d_beta E_rs, flattened in
+    (i, j, k), for (r, s) in lexicographic order.
 
     E_rs sends e_s to e_r and kills the other basis vectors. No
     multiplication is needed: entry (i, j, k) of row (r, s) is
@@ -122,6 +101,22 @@ def _tangent_rows(beta: Algebra) -> list:
                         row.append(x)
             rows.append(row)
     return rows
+
+
+def coboundary(beta: Algebra, f: LinearMap) -> Algebra:
+    """Infinitesimal change of beta along Id + eps f, as a bilinear tensor.
+
+    It is linear in f = sum_rs f[r][s] E_rs, so it is the sum of the rows
+    of ``_tangent_rows`` weighted by the entries of f.
+    """
+    if f.n != beta.dim:
+        raise DimensionMismatch("endomorphism size does not match the law")
+    n = beta.dim
+    weights = [w for row in f.matrix for w in row]
+    flat = [sum((x * w for x, w in zip(column, weights)), beta.scalar_zero)
+            for column in zip(*_tangent_rows(beta))]
+    return Algebra(n, [[flat[(i * n + j) * n:(i * n + j + 1) * n]
+                        for j in range(n)] for i in range(n)])
 
 
 def tangent_rank(beta: Algebra) -> int:
@@ -193,31 +188,14 @@ def cocycle_operator(beta: Algebra, phi: Algebra) -> TrilinearMap:
 
 def _cocycle_rows(beta: Algebra) -> list:
     """Rows beta o E_abc, flattened in (i, j, k, l), for (a, b, c) in
-    lexicographic order; written straight from the constants."""
+    lexicographic order; E_abc is the law e_a e_b = e_c with every other
+    basis product zero."""
     n = beta.dim
-    c = beta.constants
-    zero = beta.scalar_zero
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            for e in range(n):  # the output index c of E_abc
-                row = []
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            for l in range(n):
-                                x = zero
-                                if (i, j) == (a, b):
-                                    x = x + c[e][k][l]
-                                if (j, k) == (a, b):
-                                    x = x - c[i][e][l]
-                                if (k, l) == (b, e):
-                                    x = x + c[i][j][a]
-                                if (i, l) == (a, e):
-                                    x = x - c[j][k][b]
-                                row.append(x)
-                rows.append(row)
-    return rows
+    zero, one = beta.scalar_zero, beta.scalar_one
+    return [_circle(beta, Algebra(n, [[[one if (i, j, k) == abc else zero
+                                        for k in range(n)]
+                                       for j in range(n)] for i in range(n)]))
+            for abc in product(range(n), repeat=3)]
 
 
 def cohomology2(beta: Algebra) -> tuple[int, int, int]:
@@ -242,15 +220,8 @@ def _cohomology(beta: Algebra) -> tuple[int, int, int]:
 
     z2 is the kernel dimension of phi -> d2_beta phi on the n^3-dimensional
     space of bilinear maps, b2 the orbit dimension (the rank of
-    ``_tangent_rows``), h2 their difference.
-
-    Row (a, b, c) of the d2 matrix is beta o E_abc flattened in
-    (i, j, k, l), where E_abc is the law e_a e_b = e_c with every other
-    basis product zero. No multiplication is needed: its entry
-    (i, j, k, l) is
-
-        [(i, j) = (a, b)] c[c][k][l] - [(j, k) = (a, b)] c[i][c][l]
-        + [(k, l) = (b, c)] c[i][j][a] - [(i, l) = (a, c)] c[j][k][b].
+    ``_tangent_rows``), h2 their difference. The d2 matrix is
+    ``_cocycle_rows``.
     """
     beta.require_associative(_COHOMOLOGY_AT)
     z2 = beta.dim**3 - linalg.rank(_cocycle_rows(beta))

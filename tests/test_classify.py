@@ -15,6 +15,7 @@ from assoc2 import (
     NotAssociative,
     NotJordan,
     QuadExt,
+    RationalFunction,
     admissible_lie_parts,
     associated_jordan_label,
     canonical_algebra,
@@ -125,6 +126,21 @@ class TestClassify:
         for _ in range(150):
             label, alg = random_associative2(rng)
             assert classify(alg) == label  # never UnclassifiableFingerprint
+
+    @pytest.mark.parametrize("lift", [RationalFunction,
+                                      lambda c: QuadExt(c, 0, 2)],
+                             ids=["Q(t)", "QuadExt"])
+    @pytest.mark.parametrize("fn", [classify, fingerprint,
+                                    isomorphism_witness, jordan_classify2])
+    def test_other_scalars_rejected(self, fn, lift):
+        # the decision table is written over Q: every table is refused
+        # alike, before any invariant or identity is checked
+        for label in ASSOCIATIVE_LABELS + JORDAN_LABELS:
+            alg = canonical_algebra(label).map_scalars(lift)
+            with pytest.raises(ValueError) as info:
+                fn(alg)
+            assert str(info.value) == \
+                "fingerprints are defined for rational laws"
 
 
 def _full_table(alg):

@@ -20,6 +20,7 @@ from assoc2 import (
     ClassLabel,
     ContractionFamily,
     IdenticallySingular,
+    JORDAN_LABELS,
     LinearMap,
     Perturbation,
     Polynomial,
@@ -371,6 +372,17 @@ class TestContractCommand:
         code, out, _ = run(capsys, "contract", "--search", "beta6", "beta1")
         assert code == 0
         assert "found: none" in out and "census: 900" in out
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("as_source", [True, False])
+    @pytest.mark.parametrize("label", [label.value for label in JORDAN_LABELS])
+    def test_search_jordan_label_exit_1(self, capsys, label, as_source,
+                                        as_json):
+        pair = (label, "beta1") if as_source else ("beta1", label)
+        code, out, err = run(capsys, "contract", "--search", *pair,
+                             *(["--json"] if as_json else []))
+        assert (code, out, err) == \
+            (1, "", f"error: {label} is not an associative class label\n")
 
 
 class TestSearchBytes:
